@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
   const bool quick = piom::bench::quick_mode(argc, argv);
   const int timeout_periods = 10;
   const int reps = quick ? 1 : 3;
-  // Floor of the sweep: a heartbeat needs ~3 thread timeslices to traverse
-  // sender tick → NIC engine thread → receiver poll, which on a saturated
+  // Floor of the sweep: a heartbeat needs ~2 thread timeslices to traverse
+  // sender tick → receiver poll (which runs the wire), which on a saturated
   // single-CPU container is tens of ms — detection bounds below that are
   // pure scheduler noise and read as instant false positives. Keep every
   // bound (period × (timeout_periods+1)) above ~50 ms.

@@ -4,7 +4,7 @@
 // scalable way"; this module provides the I/O substrate that the AioManager
 // (aio/aio.hpp) drives through PIOMan tasks.
 //
-// Like a NIC, the disk has its own engine thread that executes requests
+// The disk has its own engine thread that executes requests
 // asynchronously under a cost model (fixed access latency + streaming
 // throughput), so host code only pays for *submitting* and *polling* —
 // exactly the property that makes background progression worthwhile.

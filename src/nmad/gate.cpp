@@ -105,12 +105,29 @@ void Gate::isend(SendRequest& req, Tag tag, const void* buf, std::size_t len,
   }
   ++pending_count_;
   lock_.unlock();
-  if (!defer) submit_pending();
+  if (!defer) flush();
 }
 
-void Gate::flush() { submit_pending(); }
+void Gate::flush() {
+  // One flusher at a time: each pops under lock_ but posts outside it, so
+  // two concurrent drains could put same-tag sends on the wire swapped
+  // (MPI's non-overtaking rule). A caller that finds a drain running asks
+  // the owner for another pass and leaves; the owner re-drains until no
+  // pass is asked for. The re-check after releasing ownership (seq_cst,
+  // paired with the caller's store-then-exchange) loses no request.
+  struct Release {  // gives ownership back even if a drain throws
+    std::atomic<bool>& owner;
+    ~Release() { owner.store(false); }
+  };
+  flush_again_.store(true);
+  while (flush_again_.load()) {
+    if (flushing_.exchange(true)) return;  // the owner will see the request
+    const Release release{flushing_};
+    while (flush_again_.exchange(false)) drain_pending();
+  }
+}
 
-void Gate::submit_pending() {
+void Gate::drain_pending() {
   // The strategy layer: drain the pending FIFO, turning requests into wire
   // packets — one per eager message, one RTS per rendezvous, or one kPack
   // covering a run of small messages when aggregation is enabled.
@@ -606,7 +623,7 @@ void Gate::deliver_eager(RecvRequest& req, const uint8_t* payload,
 // -------------------------------------------------------------- progression
 
 int Gate::progress() {
-  submit_pending();
+  flush();
   int events = 0;
   for (int r = 0; r < nrails(); ++r) events += poll_rail(r);
   check_retransmits();

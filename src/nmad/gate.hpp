@@ -105,7 +105,10 @@ class Gate {
   void remove_expected(RecvRequest& req);
 
   /// Pack and post every pending send (strategy layer: aggregation, rail
-  /// selection). Safe to call from any thread, including concurrently.
+  /// selection). Safe to call from any thread, including concurrently:
+  /// one caller at a time drains the FIFO, so sends reach the wire in
+  /// enqueue order; a caller that finds a drain running leaves its sends
+  /// to it and returns at once.
   void flush();
 
   // ---- multi-hop forwarding (sparse overlays; see src/mpi/membership) ----
@@ -265,7 +268,8 @@ class Gate {
                          std::size_t len, SendRequest* req);
 
   // Pending-send packing (strategy layer). Must be called WITHOUT lock_.
-  void submit_pending() PIOM_EXCLUDES(lock_);
+  /// One in-order pass over the pending FIFO; only flush()'s owner runs it.
+  void drain_pending() PIOM_EXCLUDES(lock_);
   void post_pw(PacketWrapper* pw, int rail_index);
 
   /// Deliver `payload` into a matched receive and complete it.
@@ -293,6 +297,10 @@ class Gate {
   std::size_t pending_count_ PIOM_GUARDED_BY(lock_) = 0;
   std::deque<SendRequest*> rdv_waiting_fin_ PIOM_GUARDED_BY(lock_);
   std::atomic<uint64_t> next_seq_{1};
+  /// Single-flusher handshake of flush(): the owner flag, and a
+  /// "drain once more" request from callers that found an owner.
+  std::atomic<bool> flushing_{false};
+  std::atomic<bool> flush_again_{false};
 
   // Reliability layer state (guarded by lock_).
   uint64_t next_pkt_seq_ PIOM_GUARDED_BY(lock_) = 1;

@@ -15,17 +15,9 @@ Fabric::create_channel_pair(const std::string& name) {
   return create_link(name, default_link_);
 }
 
-Fabric::~Fabric() {
-  // Stop engines before the NICs are destroyed (unique_ptr order would do
-  // it too, but be explicit: no engine may touch a dead peer).
-  for (auto& nic : nics_) nic->stop();
-}
-
 Nic& Fabric::create_nic(const std::string& name, const LinkModel& link) {
   nics_.push_back(std::unique_ptr<Nic>(new Nic(*this, name, link)));
-  Nic& nic = *nics_.back();
-  nic.start();
-  return nic;
+  return *nics_.back();
 }
 
 void Fabric::connect(Nic& a, Nic& b) {

@@ -1,5 +1,5 @@
 // Fabric: owner of the simulated interconnect in one process — the NIC
-// model ("simnet" backend, one engine thread per NIC).
+// model ("simnet" backend; thread-less NICs advanced by the host's polls).
 //
 // A Fabric stands for "the interconnect between the cluster nodes". Create
 // NICs, connect them pairwise (one link = one NIC pair), and hand each side
@@ -25,7 +25,6 @@ class Fabric final : public transport::ITransport {
   /// `time_scale` multiplies every modelled delay (1.0 = realistic ns;
   /// tests may use <1 for speed, >1 to magnify protocol effects).
   explicit Fabric(double time_scale = 1.0);
-  ~Fabric() override;
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -49,7 +48,7 @@ class Fabric final : public transport::ITransport {
 
   // ---- simnet-specific construction ----
 
-  /// Create a NIC attached to this fabric. Engine starts immediately.
+  /// Create a NIC attached to this fabric.
   Nic& create_nic(const std::string& name, const LinkModel& link = {});
 
   /// Wire two NICs back-to-back (both directions). Each NIC may be

@@ -18,7 +18,8 @@ struct LinkModel {
   double packet_overhead_us = 0.3;///< per-packet host/NIC processing cost
   /// Fault injection: probability that a message send is silently lost on
   /// the wire (the sender still sees a TX completion, like a real lossy
-  /// fabric). RDMA reads are never dropped (they are NIC-engine served).
+  /// fabric). RDMA reads are never dropped (the NIC serves them without
+  /// a host on the target side, like hardware RDMA).
   /// Use nmad's reliable mode (SessionConfig::reliable) on lossy links.
   double drop_rate = 0.0;
   /// Fault injection: sever this NIC's TX direction after it has executed

@@ -1,29 +1,32 @@
 // Simulated NIC with a verbs/MX-like host interface.
 //
-// Each Nic owns an *engine thread* that models the hardware: it serialises
-// posted operations, applies the LinkModel cost, and moves the bytes. This
-// gives the two properties the paper's evaluation depends on:
-//   1. data transfer is asynchronous DMA — it progresses with ZERO host CPU
-//      once posted (so sender-side overlap is possible for everyone);
+// The NIC owns no thread. Its wire is a timestamp model: every posted
+// operation is stamped with the time it leaves the link (`ready_ns`),
+// queued behind the operation before it exactly as a one-op-at-a-time
+// NIC would serialise them, and executed by whichever host poll call first
+// finds it due — `poll_tx` and `quiesce` advance this NIC's queue,
+// `poll_rx` advances the peer's. This keeps the two properties the paper's
+// evaluation depends on:
+//   1. data transfer needs no host CPU on the *receiving* side: a sender
+//      that polls its own TX queue pushes its arrivals across, so
+//      sender-side overlap is possible for everyone;
 //   2. protocol decisions (matching a rendezvous, posting the data send)
 //      need host code to run — and *when* that host code runs is exactly
 //      what distinguishes PIOMan from the caller-driven baselines.
 //
-// RDMA-Read is served entirely by the engine threads: the target host never
-// executes a single instruction, which is what lets the baseline engines
-// overlap on the sender side only (paper §II-B, [10]).
+// RDMA-Read runs no target-host code: the reader's own poll_tx executes
+// the pull against the target's memory (paper §II-B, [10]).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simnet/link_model.hpp"
+#include "sync/spinlock.hpp"
 #include "transport/channel.hpp"
 
 namespace piom::simnet {
@@ -40,7 +43,6 @@ using NicStats = transport::ChannelStats;
 /// The "simnet" transport backend: a modelled cluster NIC.
 class Nic final : public transport::IChannel {
  public:
-  ~Nic() override;
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
 
@@ -54,7 +56,7 @@ class Nic final : public transport::IChannel {
   // ---- host-side API (thread-safe) ----
 
   /// Post a message send. `buf` must stay valid until the kSend completion
-  /// for `wrid` is polled (the engine reads it at transfer time: zero-copy).
+  /// for `wrid` is polled (it is read when the op executes: zero-copy).
   void post_send(const void* buf, std::size_t len, uint64_t wrid) override;
 
   /// Post a receive buffer of capacity `cap`. Buffers match arrivals in
@@ -62,24 +64,25 @@ class Nic final : public transport::IChannel {
   void post_recv(void* buf, std::size_t cap, uint64_t wrid) override;
 
   /// RDMA-Read `len` bytes from the peer's memory at `remote` into `local`.
-  /// Served by the engines alone: no peer host CPU involved.
+  /// Executed by this side's polls alone: no peer host CPU involved.
   void post_rdma_read(void* local, const void* remote, std::size_t len,
                       uint64_t wrid) override;
 
-  /// Poll the send/rdma completion queue. True when `out` was filled.
+  /// Execute this NIC's due operations, then poll the send/rdma completion
+  /// queue. True when `out` was filled.
   bool poll_tx(Completion& out) override;
 
-  /// Poll the receive completion queue.
+  /// Execute the peer's due operations (its arrivals land here), then poll
+  /// the receive completion queue.
   bool poll_rx(Completion& out) override;
 
   [[nodiscard]] NicStats stats() const override;
 
-  /// Pending TX descriptors not yet executed by the engine (tests).
+  /// Posted operations not yet executed (tests).
   [[nodiscard]] std::size_t tx_backlog() const override;
 
-  /// Block until the engine has executed every posted operation (TX queue
-  /// empty and no operation in flight). Used at teardown: after quiescing
-  /// this NIC *and its peer*, no engine will touch host buffers again.
+  /// Execute every posted operation, waiting out its wire time. After
+  /// quiescing this NIC *and its peer*, nothing touches host buffers again.
   void quiesce() override;
 
   /// Cut this endpoint off the wire (see IChannel::sever): queued and
@@ -110,6 +113,7 @@ class Nic final : public transport::IChannel {
     void* dst = nullptr;         // rdma: local destination
     std::size_t len = 0;
     uint64_t wrid = 0;
+    int64_t ready_ns = 0;        // time the op leaves the wire
   };
 
   struct RecvDesc {
@@ -124,47 +128,53 @@ class Nic final : public transport::IChannel {
     std::vector<uint8_t> data;
   };
 
-  void engine_loop();
+  static constexpr int64_t kIdle = std::numeric_limits<int64_t>::max();
+
+  /// Stamp `op` behind the link's last op (`cost_ns` unscaled) and queue it.
+  void enqueue(TxOp op, int64_t cost_ns) PIOM_EXCLUDES(tx_lock_);
+  /// Execute the queued ops whose wire time has passed, in FIFO order. A
+  /// no-op when another thread is already executing this NIC's queue.
+  void advance() PIOM_EXCLUDES(exec_lock_, tx_lock_);
+  /// Run the queue's head op (drop draw, delivery, stats), then dequeue it
+  /// and post its completion.
+  void execute(const TxOp& op) PIOM_REQUIRES(exec_lock_) PIOM_EXCLUDES(tx_lock_);
   /// Deterministic per-NIC PRNG draw in [0,1) for drop decisions.
-  double drop_draw();
-  void start();
-  void stop();
-  /// Called by the *peer's* engine to deliver `len` bytes into our RX side.
-  void deliver(const void* data, std::size_t len);
-  void wait_scaled_ns(int64_t ns) const;
+  double drop_draw() PIOM_REQUIRES(exec_lock_);
+  /// Called from the *peer's* execute to deliver `len` bytes into our RX side.
+  void deliver(const void* data, std::size_t len) PIOM_EXCLUDES(rx_lock_);
 
   Fabric& fabric_;
   const std::string name_;
   const LinkModel link_;
   Nic* peer_ = nullptr;
 
-  // TX side (engine input + completions). The atomic size mirrors let
-  // hot-polling host threads skip the mutex entirely when a queue is empty
-  // (same double-check idea as the task queues' Algorithm 2) — without
-  // them, a tight poll loop starves the engine's lock acquisitions.
-  mutable std::mutex tx_mutex_;
-  std::condition_variable tx_cv_;
-  std::deque<TxOp> tx_queue_;
-  std::deque<Completion> tx_cq_;
-  std::atomic<std::size_t> tx_queue_size_{0};
+  // TX side. The queue's head stays queued while it executes, so an empty
+  // queue means nothing is in flight. The atomic mirrors let hot pollers
+  // skip the lock when nothing is due or complete (same double-check idea
+  // as the task queues' Algorithm 2).
+  mutable sync::SpinLock tx_lock_;
+  std::deque<TxOp> tx_queue_ PIOM_GUARDED_BY(tx_lock_);
+  std::deque<Completion> tx_cq_ PIOM_GUARDED_BY(tx_lock_);
+  int64_t wire_free_ns_ PIOM_GUARDED_BY(tx_lock_) = 0;
+  std::atomic<int64_t> head_ready_ns_{kIdle};  ///< head's ready_ns, or kIdle
   std::atomic<std::size_t> tx_cq_size_{0};
-  bool engine_busy_ = false;  // op in flight (guarded by tx_mutex_)
+
+  /// Held (try-locked) by the one thread executing the queue: FIFO order.
+  sync::SpinLock exec_lock_;
+  uint64_t rng_state_ PIOM_GUARDED_BY(exec_lock_) = 0;
+  uint64_t sends_executed_ PIOM_GUARDED_BY(exec_lock_) = 0;
 
   // RX side.
-  mutable std::mutex rx_mutex_;
-  std::deque<RecvDesc> rx_descs_;
-  std::deque<StagedArrival> staged_;
-  std::deque<Completion> rx_cq_;
+  mutable sync::SpinLock rx_lock_;
+  std::deque<RecvDesc> rx_descs_ PIOM_GUARDED_BY(rx_lock_);
+  std::deque<StagedArrival> staged_ PIOM_GUARDED_BY(rx_lock_);
+  std::deque<Completion> rx_cq_ PIOM_GUARDED_BY(rx_lock_);
   std::atomic<std::size_t> rx_cq_size_{0};
 
-  mutable std::mutex stats_mutex_;
-  NicStats stats_;
-  uint64_t rng_state_ = 0;  // engine-thread only
-  uint64_t sends_executed_ = 0;  // engine-thread only (sever_after_packets)
+  mutable sync::SpinLock stats_lock_;
+  NicStats stats_ PIOM_GUARDED_BY(stats_lock_);
 
   std::atomic<bool> severed_{false};
-  std::atomic<bool> running_{false};
-  std::thread engine_;
 };
 
 }  // namespace piom::simnet

@@ -2,8 +2,9 @@
 // rails through IChannel, so the communication library is independent of
 // what actually moves the bytes:
 //
-//   * backend "simnet" — simnet::Nic, the modelled cluster NIC (engine
-//     thread, link latency/bandwidth/drop model, RDMA served by hardware);
+//   * backend "simnet" — simnet::Nic, the modelled cluster NIC (timestamped
+//     wire advanced by the poll paths, link latency/bandwidth/drop model,
+//     RDMA served without target host code);
 //   * backend "shmem"  — transport::ShmemChannel, an intra-node fast path
 //     (lock-free SPSC descriptor rings, zero-copy delivery, no NIC
 //     instruction round-trip).

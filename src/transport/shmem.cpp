@@ -298,8 +298,8 @@ void ShmemChannel::pump_tx() {
 }
 
 bool ShmemChannel::poll_rx(Completion& out) {
-  // A full ring backpressured the peer into its spill queue; a NIC engine
-  // would keep feeding the wire as the queue drains, so the consumer side
+  // A full ring backpressured the peer into its spill queue; a NIC keeps
+  // feeding the wire as the queue drains, so the consumer side
   // re-pumps the producer here — without it, a receiver polling a drained
   // ring against an idle sender would wait forever.
   if (peer_ != nullptr &&

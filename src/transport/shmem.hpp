@@ -1,6 +1,5 @@
 // Intra-node shared-memory transport: the "two processes on one node"
-// fast path. Unlike simnet::Nic there is no engine thread and no modelled
-// wire — a send publishes a descriptor {caller buffer, len, wrid} into a
+// fast path. Unlike simnet::Nic there is no modelled wire — a send publishes a descriptor {caller buffer, len, wrid} into a
 // bounded lock-free SPSC ring; the receiver's poll copies the payload
 // straight from the sender's buffer into the posted receive buffer
 // (zero-copy: no staging hop on the matched path) and releases the

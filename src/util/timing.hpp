@@ -24,12 +24,12 @@ namespace piom::util {
 }
 
 /// Busy-wait until the monotonic clock reaches `deadline_ns`.
-/// Used for sub-50µs waits where sleeping would destroy precision
-/// (the simulated NIC engine paces link transfers with this).
+/// Used for sub-50µs waits where sleeping would destroy precision.
 void spin_until_ns(int64_t deadline_ns);
 
 /// Wait for `duration_ns`: sleeps for the bulk when the wait is long,
-/// then spins the remainder for precision.
+/// then spins the remainder for precision (the simulated disk's engine
+/// paces its requests with this).
 void precise_wait_ns(int64_t duration_ns);
 
 /// Burn CPU for approximately `duration_us` microseconds. This is the

@@ -59,7 +59,7 @@ FailureConfig fault_config() {
   f.enabled = true;
   f.heartbeat_period_us = 2000.0 * kTimeDilation;
   // Generous: a ping is only as regular as the thread that sends it, and
-  // the whole matrix may share one CPU with dozens of NIC threads.
+  // the whole matrix may share one CPU with dozens of poller threads.
   f.timeout_periods = 40;
   return f;
 }

@@ -2,9 +2,11 @@
 // simulated fabric, for all three progress engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <latch>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -15,6 +17,15 @@
 
 namespace piom::mpi {
 namespace {
+
+// Sanitizer instrumentation slows the rendezvous pull severalfold; the
+// overlap test stretches its compute window to match (tests/CMakeLists.txt
+// defines this when PIOM_SANITIZE is non-empty).
+#ifdef PIOM_TEST_SANITIZED
+constexpr double kTimeDilation = 10.0;
+#else
+constexpr double kTimeDilation = 1.0;
+#endif
 
 WorldConfig fast_config(EngineKind kind) {
   WorldConfig cfg;
@@ -174,6 +185,16 @@ TEST(MpiPioman, ReceiverSideOverlapBeatsBaseline) {
   if (std::thread::hardware_concurrency() < 4) {
     GTEST_SKIP() << "needs >= 4 hardware threads to measure overlap";
   }
+  // The mechanism is asserted on a counter: the receiver must have
+  // handled the RTS (its gate's rdv_recv, counted when the pull starts) by
+  // the END of the compute window — which only background progression can
+  // do, since the receiver itself does not call the library meanwhile.
+  // The irecv is posted before the sender starts, so the RTS cannot be
+  // staged already and handled inline by irecv.
+  struct Sample {
+    double ratio = 0;             ///< compute / (irecv .. wait)
+    uint64_t rts_in_compute = 0;  ///< rendezvous handled during the compute
+  };
   auto measure = [](EngineKind kind) {
     WorldConfig cfg;
     cfg.engine = kind;
@@ -182,26 +203,53 @@ TEST(MpiPioman, ReceiverSideOverlapBeatsBaseline) {
     World world(cfg);
     const std::size_t size = 1 << 20;  // 1 MB: rendezvous, ~0.8ms transfer
     std::vector<uint8_t> data(size, 0x42), out(size, 0);
-    const double compute_us = 3000;  // computation > transfer time
-    double total_us = 0;
+    // computation > transfer time
+    const double compute_us = 3000 * kTimeDilation;
+    std::latch posted(1);
     std::thread sender([&] {
+      posted.wait();
       world.comm(0).send(1, 5, data.data(), data.size());
     });
+    Sample s;
     {
       Request r;
       const int64_t t0 = util::now_ns();
       world.comm(1).irecv(r, 0, 5, out.data(), out.size());
+      posted.count_down();
       util::burn_cpu_us(compute_us);
+      nmad::Session& receiver = world.session(1);
+      for (std::size_t g = 0; g < receiver.gate_count(); ++g) {
+        s.rts_in_compute += receiver.gate(g).stats().rdv_recv;
+      }
       world.comm(1).wait(r);
-      total_us = static_cast<double>(util::now_ns() - t0) * 1e-3;
+      s.ratio = compute_us / (static_cast<double>(util::now_ns() - t0) * 1e-3);
     }
     sender.join();
-    return compute_us / total_us;  // overlap ratio
+    EXPECT_EQ(out, data);
+    return s;
   };
-  const double pioman_ratio = measure(EngineKind::kPioman);
-  const double baseline_ratio = measure(EngineKind::kMvapichLike);
-  EXPECT_GT(pioman_ratio, 0.75) << "pioman must overlap on the receiver side";
-  EXPECT_LT(baseline_ratio, pioman_ratio);
+  const Sample baseline = measure(EngineKind::kMvapichLike);
+  EXPECT_EQ(baseline.rts_in_compute, 0u)
+      << "the caller-driven baseline cannot handle the RTS while the "
+         "receiver computes";
+  // Wall-clock effects are retried against a deadline (one preemption can
+  // spoil any single sample): some attempt must show both the mechanism
+  // and the overlap it buys.
+  const int64_t deadline = util::now_ns() + 10'000'000'000;
+  int attempts = 0, handled = 0;
+  double best_ratio = 0;
+  bool overlapped = false;
+  while (!overlapped && util::now_ns() < deadline) {
+    const Sample pioman = measure(EngineKind::kPioman);
+    ++attempts;
+    handled += pioman.rts_in_compute >= 1 ? 1 : 0;
+    best_ratio = std::max(best_ratio, pioman.ratio);
+    overlapped = pioman.rts_in_compute >= 1 && pioman.ratio > 0.75;
+  }
+  EXPECT_TRUE(overlapped) << "pioman must overlap on the receiver side: RTS "
+                          << "handled during the compute in " << handled
+                          << "/" << attempts << " attempts, best ratio "
+                          << best_ratio;
 }
 
 TEST(MpiPioman, SubmissionOffloadTaskRuns) {

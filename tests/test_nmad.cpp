@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <deque>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "nmad/session.hpp"
@@ -331,6 +333,75 @@ TEST(NmadStress, ManyMessagesBothDirectionsManyTags) {
     EXPECT_STREQ(bufs_a[static_cast<std::size_t>(i)].data(), "fromB");
     EXPECT_STREQ(bufs_b[static_cast<std::size_t>(i)].data(), "fromA");
   }
+}
+
+TEST(NmadStress, ConcurrentFlushersKeepPerThreadSendOrder) {
+  // Several threads queue sends on ONE tag (defer = true: the offloaded
+  // submission path) and flush concurrently while the receiver progresses.
+  // The receives are pre-posted, so they match arrivals in wire order:
+  // each thread's sends must arrive in that thread's program order (MPI's
+  // non-overtaking rule). Two drains popping under the lock and posting
+  // outside it used to swap them.
+  NmadPair p;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  constexpr int kTotal = kThreads * kPerThread;
+  constexpr Tag kTag = 11;
+  std::deque<RecvRequest> rreqs(kTotal);
+  std::vector<uint32_t> got(kTotal, 0);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    p.gb->irecv(rreqs[i], kTag, &got[i], sizeof(uint32_t));
+  }
+  std::vector<std::deque<SendRequest>> sreqs(kThreads);
+  std::vector<std::vector<uint32_t>> payloads(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    sreqs[static_cast<std::size_t>(t)].resize(kPerThread);
+    payloads[static_cast<std::size_t>(t)].resize(kPerThread);
+  }
+  std::atomic<bool> go{false};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&, t] {
+      auto& mine = payloads[static_cast<std::size_t>(t)];
+      auto& reqs = sreqs[static_cast<std::size_t>(t)];
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (int k = 0; k < kPerThread; ++k) {
+        const auto i = static_cast<std::size_t>(k);
+        mine[i] = (static_cast<uint32_t>(t) << 16) | static_cast<uint32_t>(k);
+        p.ga->isend(reqs[i], kTag, &mine[i], sizeof(uint32_t), /*defer=*/true);
+        p.ga->flush();
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  const bool received = progress_until(
+      p.sa, p.sb,
+      [&] {
+        return std::all_of(rreqs.begin(), rreqs.end(),
+                           [](const RecvRequest& r) { return r.completed(); });
+      },
+      30'000'000'000);
+  for (auto& th : senders) th.join();
+  ASSERT_TRUE(received);
+  ASSERT_TRUE(progress_until(p.sa, p.sb, [&] {
+    for (const auto& reqs : sreqs) {
+      for (const SendRequest& s : reqs) {
+        if (!s.completed()) return false;
+      }
+    }
+    return true;
+  }));
+  std::vector<uint32_t> next(kThreads, 0);
+  int overtaken = 0;
+  for (const uint32_t v : got) {
+    const uint32_t t = v >> 16;
+    const uint32_t k = v & 0xffffu;
+    ASSERT_LT(t, static_cast<uint32_t>(kThreads));
+    if (k != next[t]) ++overtaken;
+    next[t] = k + 1;
+  }
+  EXPECT_EQ(overtaken, 0) << "same-tag sends of one thread arrived out of order";
 }
 
 TEST(NmadConfig, RejectsOversizedThresholds) {

@@ -2,10 +2,13 @@
 // of unexpected arrivals, RDMA-Read zero-host-CPU semantics, cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
+#include <cstdint>
 #include <cstring>
-#include <thread>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "simnet/fabric.hpp"
@@ -102,7 +105,7 @@ TEST_F(SimnetTest, TruncationToRecvCapacity) {
 
 TEST_F(SimnetTest, RdmaReadPullsRemoteMemoryWithoutHostCode) {
   // Host code on side A never runs anything after exposing the buffer: the
-  // pull is served by the engine threads alone.
+  // pull is executed by B's own poll_tx alone.
   std::vector<uint8_t> remote(256 * 1024);
   std::iota(remote.begin(), remote.end(), 0);
   std::vector<uint8_t> local(remote.size(), 0);
@@ -329,6 +332,127 @@ TEST(SimnetConcurrency, ManyPostersOneNic) {
   int tx_seen = 0;
   while (a->poll_tx(c)) ++tx_seen;
   EXPECT_EQ(tx_seen, kThreads * kPerThread);
+}
+
+TEST(SimnetWire, BackToBackSendsSerialiseOnTheLink) {
+  // The wire carries one op at a time: the k-th of N sends posted at once
+  // cannot complete before k full transfer times have passed.
+  Fabric fabric(1.0);
+  auto [a, b] = fabric.create_link("serial");
+  constexpr int kSends = 16;
+  std::vector<uint8_t> payload(16 * 1024, 0x5A);
+  const int64_t transfer = a->link().transfer_ns(payload.size());
+  const int64_t t0 = util::now_ns();
+  for (int i = 0; i < kSends; ++i) {
+    a->post_send(payload.data(), payload.size(), static_cast<uint64_t>(i));
+  }
+  for (int i = 0; i < kSends; ++i) {
+    Completion c{};
+    ASSERT_TRUE(poll_until([&](Completion& cc) { return a->poll_tx(cc); }, c));
+    EXPECT_EQ(c.wrid, static_cast<uint64_t>(i));
+    EXPECT_GE(util::now_ns() - t0, (i + 1) * transfer) << "send " << i;
+  }
+  EXPECT_EQ(b->stats().packets_rx, static_cast<uint64_t>(kSends));
+}
+
+TEST_F(SimnetTest, ReceiverPollingAloneDeliversFromSilentSender) {
+  // Delivery needs no host on the sending side: B's poll_rx runs A's wire.
+  const char msg[] = "pulled across";
+  char rxbuf[32] = {};
+  b_->post_recv(rxbuf, sizeof(rxbuf), 3);
+  a_->post_send(msg, sizeof(msg), 4);
+  Completion rx{};
+  ASSERT_TRUE(poll_until([&](Completion& c) { return b_->poll_rx(c); }, rx));
+  EXPECT_EQ(rx.wrid, 3u);
+  EXPECT_STREQ(rxbuf, "pulled across");
+  EXPECT_EQ(a_->stats().packets_tx, 1u);
+  EXPECT_EQ(a_->tx_backlog(), 0u);  // executed, though A never polled
+}
+
+TEST(SimnetWire, ConcurrentPollersKeepFifoOrder) {
+  // Pollers on both sides race to execute the same queue while a thread
+  // keeps posting: arrivals must still fill the posted buffers in send
+  // order, and each TX poller must see completions in post order.
+  Fabric fabric(0.01);
+  auto [a, b] = fabric.create_link("race");
+  constexpr int kMsgs = 4000;
+  std::vector<uint32_t> sent(kMsgs), got(kMsgs, UINT32_MAX);
+  for (int i = 0; i < kMsgs; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    sent[k] = static_cast<uint32_t>(i);
+    b->post_recv(&got[k], sizeof(uint32_t), k);
+  }
+  std::atomic<int> rx_done{0}, tx_done{0};
+  std::vector<std::vector<uint64_t>> tx_seen(2);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int i = 0; i < kMsgs; ++i) {
+      a->post_send(&sent[static_cast<std::size_t>(i)], sizeof(uint32_t),
+                   static_cast<uint64_t>(i));
+    }
+  });
+  const int64_t deadline = util::now_ns() + 20'000'000'000;
+  for (int p = 0; p < 2; ++p) {
+    threads.emplace_back([&] {
+      Completion c{};
+      while (rx_done.load() < kMsgs && util::now_ns() < deadline) {
+        if (b->poll_rx(c)) rx_done.fetch_add(1);
+      }
+    });
+    threads.emplace_back([&, p] {
+      Completion c{};
+      while (tx_done.load() < kMsgs && util::now_ns() < deadline) {
+        if (a->poll_tx(c)) {
+          tx_seen[static_cast<std::size_t>(p)].push_back(c.wrid);
+          tx_done.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(rx_done.load(), kMsgs);
+  ASSERT_EQ(tx_done.load(), kMsgs);
+  EXPECT_EQ(got, sent);
+  for (const auto& seen : tx_seen) {
+    EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  }
+}
+
+TEST(SimnetWire, DropsRepeatAcrossRuns) {
+  // Same fabric, same NIC names, same traffic => the same packets drop.
+  auto dropped_indices = [] {
+    Fabric fabric(0.01);
+    LinkModel lossy;
+    lossy.drop_rate = 0.3;
+    auto [a, b] = fabric.create_link("lossy", lossy);
+    constexpr int kMsgs = 200;
+    std::vector<uint32_t> sent(kMsgs);
+    std::iota(sent.begin(), sent.end(), 0u);
+    for (int i = 0; i < kMsgs; ++i) {
+      a->post_send(&sent[static_cast<std::size_t>(i)], sizeof(uint32_t),
+                   static_cast<uint64_t>(i));
+    }
+    a->quiesce();
+    std::vector<bool> arrived(kMsgs, false);
+    const auto delivered = b->stats().packets_rx;
+    for (uint64_t n = 0; n < delivered; ++n) {
+      uint32_t v = UINT32_MAX;
+      b->post_recv(&v, sizeof v, n);
+      Completion c{};
+      EXPECT_TRUE(b->poll_rx(c));
+      if (v < kMsgs) arrived[v] = true;
+    }
+    std::vector<int> dropped;
+    for (int i = 0; i < kMsgs; ++i) {
+      if (!arrived[static_cast<std::size_t>(i)]) dropped.push_back(i);
+    }
+    EXPECT_EQ(dropped.size(), a->stats().packets_dropped);
+    return dropped;
+  };
+  const std::vector<int> first = dropped_indices();
+  EXPECT_FALSE(first.empty());
+  EXPECT_LT(first.size(), 200u);
+  EXPECT_EQ(dropped_indices(), first);
 }
 
 TEST(FabricConfig, RejectsBadTimeScale) {

@@ -30,6 +30,8 @@ EXPECTED = {
      "callback-under-lock"),
     (os.path.join("src", "relaxed_done.cpp"), 4, "relaxed-done-store"),
     (os.path.join("src", "reserved_tag.cpp"), 2, "reserved-tag-literal"),
+    (os.path.join("src", "transport", "io_thread.cpp"), 3,
+     "transport-thread"),
     (os.path.join("src", "use_after_complete.cpp"), 6,
      "use-after-complete"),
 }
@@ -52,7 +54,7 @@ def main():
     rules_fired = {rule for _, _, rule in got}
     all_rules = {"use-after-complete", "callback-under-lock",
                  "reserved-tag-literal", "relaxed-done-store",
-                 "ctest-parallel-flag"}
+                 "ctest-parallel-flag", "transport-thread"}
     if rules_fired != all_rules:
         fail("rules without fixture coverage: %s" %
              sorted(all_rules - rules_fired))
