@@ -187,16 +187,7 @@ bool CollOp::advance_failing() {
   bool all_done = true;
   for (Request& r : reqs_) {
     if (r.done()) continue;
-    if (!r.is_send()) {
-      nmad::RecvRequest& rr = r.recv_req();
-      if (rr.wild_set != nullptr) {
-        rr.wild_set->cancel(rr);
-      } else if (rr.port != nullptr) {
-        rr.port->cancel_recv(rr);
-      } else if (rr.gate != nullptr) {
-        rr.gate->cancel_recv(rr);
-      }
-    }
+    if (!r.is_send()) comm_->cancel(r);
     if (!r.done()) all_done = false;  // matched mid-cancel: next sweep
   }
   if (!all_done) return false;

@@ -32,8 +32,8 @@ class Engine {
                      std::size_t cap) = 0;
   /// Any-source receive (MPI_ANY_SOURCE): register with the membership's
   /// wildcard registry, which covers every existing gate, every gate
-  /// created later (lazy wiring), and the forward inbox. `wilds` must
-  /// outlive completion.
+  /// created later (lazy wiring), and the origin gates of forwarded
+  /// traffic. `wilds` must outlive completion.
   virtual void irecv_any(Request& req, nmad::WildSet& wilds, Tag tag,
                          void* buf, std::size_t cap) = 0;
   /// Block until `req` completes.

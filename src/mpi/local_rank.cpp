@@ -53,8 +53,8 @@ void LocalRank::init(
   session_ = std::make_unique<nmad::Session>(
       "rank" + std::to_string(rank_), config.session);
   // The membership layer owns the by-peer gate table and the routing
-  // policy; its constructor installs the session's forward handler and the
-  // wildcard registry's inbox port, so it must exist before any gate.
+  // policy; its constructor installs the session's forward handler, so it
+  // must exist before any gate can receive traffic.
   membership_ = std::make_unique<Membership>(
       *session_, rank_, nranks_,
       resolve_overlay_mode(config.overlay, nranks_),

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "mpi/failure.hpp"
-#include "nmad/matcher.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 
@@ -51,253 +50,98 @@ int resolve_overlay_fanout(const OverlayConfig& config) {
 // ForwardInbox
 // ---------------------------------------------------------------------------
 
-ForwardInbox::ForwardInbox(int nranks)
-    : nranks_(nranks), dead_(static_cast<std::size_t>(nranks), false) {}
-
-void ForwardInbox::complete_into(nmad::RecvRequest& req, Staged&& msg) {
-  const std::size_t n = std::min(msg.data.size(), req.cap);
-  if (n != 0) std::memcpy(req.buf, msg.data.data(), n);
-  req.received = n;
-  req.matched_tag = msg.tag;
-  req.matched_seq = msg.fseq;
-  req.source = msg.src;
-  req.core.complete();
+ForwardInbox::ForwardInbox(nmad::Session& session, nmad::WildSet& wilds,
+                           int nranks)
+    : session_(session),
+      wilds_(wilds),
+      nranks_(nranks),
+      origin_(new std::atomic<nmad::Gate*>[static_cast<std::size_t>(nranks)]) {
+  for (int r = 0; r < nranks_; ++r) {
+    origin_[static_cast<std::size_t>(r)].store(nullptr,
+                                               std::memory_order_relaxed);
+  }
 }
 
-void ForwardInbox::fail_request(nmad::RecvRequest& req) {
-  req.core.mark_failed();
-  req.core.complete();
+ForwardInbox::~ForwardInbox() {
+  for (int r = 0; r < nranks_; ++r) {
+    delete origin_[static_cast<std::size_t>(r)].load(
+        std::memory_order_acquire);
+  }
 }
 
-bool ForwardInbox::post_wild(nmad::RecvRequest& req) {
-  lock_.lock();
-  for (auto it = staged_.begin(); it != staged_.end(); ++it) {
-    if (!nmad::recv_tag_matches(req.tag, it->tag)) continue;
-    // Same claim protocol as Gate::match_or_post: the CAS arbitrates
-    // against sibling gates that may be matching this request right now.
-    uint32_t expected = 0;
-    if (!req.wild_claim.compare_exchange_strong(expected, 1)) {
-      lock_.unlock();
-      return true;  // claimed elsewhere — registration is moot
-    }
-    Staged msg = std::move(*it);
-    staged_.erase(it);
-    lock_.unlock();
-    req.wild_set->purge(req, this);
-    complete_into(req, std::move(msg));
-    return true;
-  }
-  wilds_.push_back(&req);
-  lock_.unlock();
-  return false;
-}
-
-void ForwardInbox::remove_expected(nmad::RecvRequest& req) {
-  lock_.lock();
-  auto it = std::find(wilds_.begin(), wilds_.end(), &req);
-  if (it != wilds_.end()) wilds_.erase(it);
-  lock_.unlock();
-}
-
-bool ForwardInbox::cancel_recv(nmad::RecvRequest& req) {
-  lock_.lock();
-  auto it = std::find(wilds_.begin(), wilds_.end(), &req);
-  if (it != wilds_.end()) {
-    uint32_t expected = 0;
-    if (!req.wild_claim.compare_exchange_strong(expected, 1)) {
-      // A member is completing it right now; drop the stale registration
-      // and report "not cancelled" so the caller waits for the completion.
-      wilds_.erase(it);
-      lock_.unlock();
-      return false;
-    }
-    wilds_.erase(it);
-    lock_.unlock();
-    req.wild_set->purge(req, this);
-    fail_request(req);
-    return true;
-  }
-  auto dit = std::find(directed_.begin(), directed_.end(), &req);
-  if (dit != directed_.end()) {
-    directed_.erase(dit);
-    lock_.unlock();
-    fail_request(req);
-    return true;
-  }
-  lock_.unlock();
-  return false;
-}
-
-void ForwardInbox::post_directed(nmad::RecvRequest& req, int src, Tag tag,
-                                 void* buf, std::size_t cap) {
-  req.gate = nullptr;
-  req.wild_set = nullptr;
-  req.port = this;
-  req.tag = tag;
-  req.buf = buf;
-  req.cap = cap;
-  req.received = 0;
-  req.matched_seq = 0;
-  req.matched_tag = 0;
-  req.source = src;  // the source filter, replaced by the match itself
-  req.wild_claim.store(0, std::memory_order_relaxed);
-  req.core.reset();
-  if (src < 0 || src >= nranks_) {
-    fail_request(req);
-    return;
-  }
-  lock_.lock();
-  if (dead_[static_cast<std::size_t>(src)]) {
-    lock_.unlock();
-    fail_request(req);
-    return;
-  }
-  for (auto it = staged_.begin(); it != staged_.end(); ++it) {
-    if (it->src != src || !nmad::recv_tag_matches(tag, it->tag)) continue;
-    Staged msg = std::move(*it);
-    staged_.erase(it);
-    lock_.unlock();
-    complete_into(req, std::move(msg));
-    return;
-  }
-  directed_.push_back(&req);
-  lock_.unlock();
+nmad::Gate& ForwardInbox::origin(int src) {
+  std::atomic<nmad::Gate*>& slot = origin_[static_cast<std::size_t>(src)];
+  nmad::Gate* g = slot.load(std::memory_order_acquire);
+  if (g != nullptr) return *g;
+  std::lock_guard<std::mutex> lk(create_lock_);
+  g = slot.load(std::memory_order_relaxed);
+  if (g != nullptr) return *g;
+  // Not Session::create_gate: the session's table is what the failure
+  // detector pings and times out, and a rail-less gate never hears from
+  // its peer. Parked any-source receives are registered before the gate
+  // is published, so they precede every directed receive posted on it.
+  g = new nmad::Gate(session_, {}, src);
+  wilds_.add_gate(g);
+  slot.store(g, std::memory_order_release);
+  return *g;
 }
 
 void ForwardInbox::deliver(const nmad::ForwardFrame& frame) {
   if (frame.src < 0 || frame.src >= nranks_) return;
+  nmad::Gate& g = origin(frame.src);
+  if (frame.nfrags <= 1) {
+    if (!g.peer_dead()) {
+      g.arrive_eager(frame.tag, frame.fseq, frame.data, frame.len);
+    }
+    return;
+  }
+  // Reassembly keyed by (src, fseq). Fragments may arrive out of order
+  // (per-hop retransmission on lossy links reorders), so each lands in its
+  // own slot; offsets are implied by frag * kForwardChunk.
+  std::vector<uint8_t> msg;
+  Tag tag = 0;
   lock_.lock();
-  if (dead_[static_cast<std::size_t>(frame.src)]) {
+  if (g.peer_dead()) {
     lock_.unlock();
     return;  // verdict already delivered — nothing may match this data
   }
-  Staged msg;
-  if (frame.nfrags <= 1) {
-    msg.src = frame.src;
-    msg.tag = frame.tag;
-    msg.fseq = frame.fseq;
-    msg.data.assign(frame.data, frame.data + frame.len);
-  } else {
-    // Reassembly keyed by (src, fseq). Fragments may arrive out of order
-    // (per-hop retransmission on lossy links reorders), so each lands in
-    // its own slot; offsets are implied by frag * kForwardChunk.
-    auto [it, fresh] = assembling_.try_emplace(
-        std::make_pair(frame.src, frame.fseq));
-    Assembly& a = it->second;
-    if (fresh) {
-      a.tag = frame.tag;
-      a.frags.resize(frame.nfrags);
-    }
-    if (frame.frag >= a.frags.size() ||
-        !a.frags[frame.frag].empty()) {  // malformed or duplicate
-      lock_.unlock();
-      return;
-    }
-    a.frags[frame.frag].assign(frame.data, frame.data + frame.len);
-    if (++a.landed < a.frags.size()) {
-      lock_.unlock();
-      return;
-    }
-    msg.src = frame.src;
-    msg.tag = a.tag;
-    msg.fseq = frame.fseq;
-    std::size_t total = 0;
-    for (const auto& f : a.frags) total += f.size();
-    msg.data.reserve(total);
-    for (const auto& f : a.frags) {
-      msg.data.insert(msg.data.end(), f.begin(), f.end());
-    }
-    assembling_.erase(it);
+  auto [it, fresh] =
+      assembling_.try_emplace(std::make_pair(frame.src, frame.fseq));
+  Assembly& a = it->second;
+  if (fresh) {
+    a.tag = frame.tag;
+    a.frags.resize(frame.nfrags);
   }
-  // Match directed receives first (they carry the tighter filter), then
-  // any-source registrations — same precedence a Gate's single posted
-  // queue gives a directed receive posted before a wildcard.
-  for (auto it = directed_.begin(); it != directed_.end(); ++it) {
-    nmad::RecvRequest& req = **it;
-    if (req.source != msg.src || !nmad::recv_tag_matches(req.tag, msg.tag)) {
-      continue;
-    }
-    directed_.erase(it);
+  if (frame.frag >= a.frags.size() ||
+      !a.frags[frame.frag].empty()) {  // malformed or duplicate
     lock_.unlock();
-    complete_into(req, std::move(msg));
     return;
   }
-  for (auto it = wilds_.begin(); it != wilds_.end();) {
-    nmad::RecvRequest& req = **it;
-    if (!nmad::recv_tag_matches(req.tag, msg.tag)) {
-      ++it;
-      continue;
-    }
-    uint32_t expected = 0;
-    if (!req.wild_claim.compare_exchange_strong(expected, 1)) {
-      it = wilds_.erase(it);  // claimed by a sibling gate — stale
-      continue;
-    }
-    wilds_.erase(it);
+  a.frags[frame.frag].assign(frame.data, frame.data + frame.len);
+  if (++a.landed < a.frags.size()) {
     lock_.unlock();
-    req.wild_set->purge(req, this);
-    complete_into(req, std::move(msg));
     return;
   }
-  staged_.push_back(std::move(msg));
+  tag = a.tag;
+  std::size_t total = 0;
+  for (const auto& f : a.frags) total += f.size();
+  msg.reserve(total);
+  for (const auto& f : a.frags) msg.insert(msg.end(), f.begin(), f.end());
+  assembling_.erase(it);
   lock_.unlock();
+  g.arrive_eager(tag, frame.fseq, msg.data(), msg.size());
 }
 
 void ForwardInbox::fail_source(int src) {
   if (src < 0 || src >= nranks_) return;
+  // Evict first: a deliver() that takes lock_ after the sweep below sees
+  // the dead gate and drops its fragment instead of starting a reassembly.
+  origin(src).fail_peer();
   lock_.lock();
-  if (dead_[static_cast<std::size_t>(src)]) {
-    lock_.unlock();
-    return;
-  }
-  dead_[static_cast<std::size_t>(src)] = true;
-  // Nothing may ever match a dead peer's data (gate eviction rule).
-  for (auto it = staged_.begin(); it != staged_.end();) {
-    it = (it->src == src) ? staged_.erase(it) : std::next(it);
-  }
   for (auto it = assembling_.begin(); it != assembling_.end();) {
     it = (it->first.first == src) ? assembling_.erase(it) : std::next(it);
   }
-  std::vector<nmad::RecvRequest*> failed_directed;
-  for (auto it = directed_.begin(); it != directed_.end();) {
-    if ((*it)->source == src) {
-      failed_directed.push_back(*it);
-      it = directed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // ULFM consistency with Gate::fail_peer: an any-source receive fails on
-  // the first dead peer it might have matched. Claim each parked wildcard;
-  // lost claims are stale registrations either way.
-  std::vector<nmad::RecvRequest*> failed_wilds;
-  for (nmad::RecvRequest* req : wilds_) {
-    uint32_t expected = 0;
-    if (req->wild_claim.compare_exchange_strong(expected, 1)) {
-      failed_wilds.push_back(req);
-    }
-  }
-  wilds_.clear();
   lock_.unlock();
-  for (nmad::RecvRequest* req : failed_directed) fail_request(*req);
-  for (nmad::RecvRequest* req : failed_wilds) {
-    req->wild_set->purge(*req, this);
-    fail_request(*req);
-  }
-}
-
-std::size_t ForwardInbox::staged_count() const {
-  lock_.lock();
-  const std::size_t n = staged_.size();
-  lock_.unlock();
-  return n;
-}
-
-std::size_t ForwardInbox::parked_count() const {
-  lock_.lock();
-  const std::size_t n = directed_.size() + wilds_.size();
-  lock_.unlock();
-  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -312,7 +156,7 @@ Membership::Membership(nmad::Session& session, int rank, int nranks,
       mode_(mode),
       fanout_(fanout),
       gate_(new std::atomic<nmad::Gate*>[static_cast<std::size_t>(nranks)]),
-      inbox_(nranks),
+      inbox_(session, wilds_, nranks),
       fseq_(new std::atomic<uint64_t>[static_cast<std::size_t>(nranks)]),
       flooded_(static_cast<std::size_t>(nranks), false) {
   for (int r = 0; r < nranks_; ++r) {
@@ -342,7 +186,6 @@ Membership::Membership(nmad::Session& session, int rank, int nranks,
     add((rank_ + 1) % nranks_);
     add((rank_ + nranks_ - 1) % nranks_);
   }
-  wilds_.set_port(&inbox_);
   session_.set_forward_handler(
       [this](const nmad::ForwardFrame& f) { handle_forward(f); });
 }

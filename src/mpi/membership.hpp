@@ -14,8 +14,11 @@
 //     Application point-to-point traffic towards a peer OUTSIDE the view is
 //     forwarded along the tree in kForward fragments (nmad/types.hpp) —
 //     each hop rides the reliability layer, so the per-hop guarantee
-//     composes end to end. Traffic towards view peers, and ALL
-//     reserved-tag (collective/internal) traffic, stays on direct gates.
+//     composes end to end. The destination matches each forwarded
+//     message on a rail-less gate standing for its origin (ForwardInbox),
+//     so one TagMatcher per peer serves both paths. Traffic towards view
+//     peers, and ALL reserved-tag (collective/internal) traffic, stays on
+//     direct gates.
 //
 // The symmetry rule matters: in_view is symmetric (tree and ring edges are
 // undirected), and both endpoints of a non-view pair forward — never one
@@ -32,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -96,54 +98,40 @@ inline constexpr Tag kDeathNoticeTag = nmad::kDeathNoticeTag;
 /// and callable concurrently for the same peer.
 using GateConnector = std::function<void(int peer)>;
 
-/// The non-gate wildcard/directed match point of one rank: where forwarded
-/// messages (from ranks this rank has no direct gate to) are reassembled,
-/// matched and delivered. Implements the WildPort half of the any-source
-/// registry; directed receives from non-view sources are parked here too.
-///
-/// Matching mirrors Gate semantics: arrivals match the oldest compatible
-/// posted receive; unmatched complete messages are staged; any-source
-/// requests are claimed through RecvRequest::wild_claim with the same
-/// locked re-check gates use, and the winner purges the sibling
-/// registrations before completing.
-class ForwardInbox final : public nmad::WildPort {
+/// Where forwarded messages (from ranks this rank has no direct gate to)
+/// land: fragments are reassembled by (src, fseq), and each complete
+/// message is matched on its origin's *rail-less gate* — one nmad::Gate per
+/// source rank, built on first use and joined to the any-source registry
+/// like any late gate. Forwarded traffic therefore follows the gate's own
+/// matching, cancel and eviction rules (post order, per-source FIFO by
+/// fseq, wildcard claims); directed receives from off-view sources are
+/// posted straight on the origin gate.
+class ForwardInbox {
  public:
-  explicit ForwardInbox(int nranks);
+  /// `session` and `wilds` must outlive the inbox.
+  ForwardInbox(nmad::Session& session, nmad::WildSet& wilds, int nranks);
+  ~ForwardInbox();
 
-  // -- WildPort (any-source registrations; see nmad/wildset.hpp) --
-  bool post_wild(nmad::RecvRequest& req) override;
-  void remove_expected(nmad::RecvRequest& req) override;
-  bool cancel_recv(nmad::RecvRequest& req) override;
+  ForwardInbox(const ForwardInbox&) = delete;
+  ForwardInbox& operator=(const ForwardInbox&) = delete;
 
-  /// Park a directed receive for (src, tag): match a staged message first,
-  /// else wait for one. Initialises `req` (like Gate::irecv); the source
-  /// filter travels in req.source. Error-completes immediately when `src`
-  /// is already known dead.
-  void post_directed(nmad::RecvRequest& req, int src, Tag tag, void* buf,
-                     std::size_t cap);
+  /// The origin gate of `src`, built (and added to the wildcard registry)
+  /// on first use. Thread-safe; `src` must be a valid rank.
+  nmad::Gate& origin(int src);
 
   /// One kForward fragment addressed to this rank: reassemble by
-  /// (src, fseq); on the last fragment match/stage the whole message.
-  /// Fragments may arrive out of order (retransmission on lossy links).
+  /// (src, fseq); on the last fragment hand the whole message to the
+  /// origin gate. Fragments may arrive out of order (retransmission on
+  /// lossy links).
   void deliver(const nmad::ForwardFrame& frame);
 
-  /// A source rank was declared failed: drop its staged + partial
-  /// messages, error-complete directed receives parked on it, and — gate
-  /// eviction semantics — claim and error-complete parked any-source
-  /// registrations. Idempotent per source.
+  /// A source rank was declared failed: drop its partial messages and
+  /// evict its origin gate (Gate::fail_peer — parked receives, directed
+  /// and any-source, error-complete; staged messages are dropped).
+  /// Idempotent.
   void fail_source(int src);
 
-  [[nodiscard]] std::size_t staged_count() const;
-  [[nodiscard]] std::size_t parked_count() const;
-
  private:
-  /// One complete, unmatched message.
-  struct Staged {
-    int src = -1;
-    Tag tag = 0;
-    uint64_t fseq = 0;
-    std::vector<uint8_t> data;
-  };
   /// One in-flight reassembly (keyed by (src, fseq)).
   struct Assembly {
     Tag tag = 0;
@@ -151,22 +139,16 @@ class ForwardInbox final : public nmad::WildPort {
     uint16_t landed = 0;
   };
 
-  /// Copy a message into a matched receive and complete it. Call WITHOUT
-  /// lock_ (completion wakes waiters that may re-enter the inbox).
-  static void complete_into(nmad::RecvRequest& req, Staged&& msg);
-  static void fail_request(nmad::RecvRequest& req);
-
+  nmad::Session& session_;
+  nmad::WildSet& wilds_;
   const int nranks_;
-  mutable sync::SpinLock lock_;
-  /// Parked directed receives.
-  std::vector<nmad::RecvRequest*> directed_ PIOM_GUARDED_BY(lock_);
-  /// Parked any-source registrations.
-  std::vector<nmad::RecvRequest*> wilds_ PIOM_GUARDED_BY(lock_);
-  /// Complete, unmatched messages (FIFO).
-  std::deque<Staged> staged_ PIOM_GUARDED_BY(lock_);
+  /// Serializes origin-gate creation; the table itself is lock-free to
+  /// read (one release store per entry, ever). Entries are owned.
+  std::mutex create_lock_;
+  std::unique_ptr<std::atomic<nmad::Gate*>[]> origin_;
+  sync::SpinLock lock_;
   std::map<std::pair<int, uint64_t>, Assembly> assembling_
       PIOM_GUARDED_BY(lock_);
-  std::vector<bool> dead_ PIOM_GUARDED_BY(lock_);  ///< by source rank
 };
 
 /// Counters for tests/benches (monotonic; snapshot consistency not
@@ -174,7 +156,7 @@ class ForwardInbox final : public nmad::WildPort {
 struct MembershipStats {
   uint64_t forwards_originated = 0;  ///< forward sends started here
   uint64_t forwards_relayed = 0;     ///< frames re-emitted towards next hop
-  uint64_t forwards_delivered = 0;   ///< frames delivered to the local inbox
+  uint64_t forwards_delivered = 0;   ///< frames delivered to this rank
   uint64_t forwards_dropped = 0;     ///< undeliverable frames (dead hop…)
   uint64_t death_notices = 0;        ///< death floods originated or relayed
 };
@@ -267,7 +249,7 @@ class Membership {
   /// everything else is relayed towards next_hop(frame.dst).
   void handle_forward(const nmad::ForwardFrame& frame);
 
-  // ---- wildcard registry + inbox ----
+  // ---- wildcard registry + forwarded-traffic inbox ----
 
   [[nodiscard]] nmad::WildSet& wilds() { return wilds_; }
   [[nodiscard]] ForwardInbox& inbox() { return inbox_; }

@@ -220,8 +220,8 @@ void Comm::isend(Request& req, int dst, Tag tag, const void* buf,
   // Sparse overlay: application traffic towards a peer outside the view is
   // forwarded along the tree instead of opening a direct gate. Both
   // endpoints of a non-view pair take this path (in_view is symmetric), so
-  // the matching receive is parked in the peer's forward inbox — never on
-  // a gate only one side knows about.
+  // the matching receive sits on the peer's origin gate for this rank —
+  // never on a direct gate only one side knows about.
   if (membership_->sparse() && !membership_->in_view(dst)) {
     req.arm(/*is_send=*/true);
     membership_->forward_send(req.send_req(), dst, tag, buf, len);
@@ -236,9 +236,7 @@ void Comm::irecv(Request& req, int src, Tag tag, void* buf, std::size_t cap) {
   if (src != kAnySource && membership_->sparse() &&
       !membership_->in_view(src)) {
     check_peer(src, "Comm::irecv");
-    req.arm(/*is_send=*/false);
-    membership_->inbox().post_directed(req.recv_req(), src, tag, buf, cap);
-    engine_->progress();
+    engine_->irecv(req, membership_->inbox().origin(src), tag, buf, cap);
     return;
   }
   irecv_reserved(req, src, tag, buf, cap);
@@ -305,10 +303,6 @@ bool Comm::cancel(Request& req) {
     // Any-source: whichever registry member still holds the registration
     // cancels it; false means an arrival claimed the request concurrently.
     return rr.wild_set->cancel(rr);
-  }
-  if (rr.port != nullptr) {
-    // Directed receive parked in the forward inbox (sparse non-view src).
-    return rr.port->cancel_recv(rr);
   }
   if (rr.gate == nullptr) return false;
   return rr.gate->cancel_recv(rr);

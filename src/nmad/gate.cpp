@@ -516,6 +516,16 @@ void Gate::forward_raw(const ForwardFrame& frame) {
                     frame.nfrags, frame.data, frame.len, nullptr);
 }
 
+void Gate::arrive_eager(Tag tag, uint64_t seq, const uint8_t* payload,
+                        std::size_t len) {
+  PktHeader hdr;
+  hdr.kind = static_cast<uint8_t>(PktKind::kEager);
+  hdr.tag = tag;
+  hdr.seq = seq;
+  hdr.len = len;
+  handle_eager(hdr, payload);
+}
+
 // ---------------------------------------------------------------- recv path
 
 void Gate::irecv(RecvRequest& req, Tag tag, void* buf, std::size_t cap) {
@@ -527,7 +537,6 @@ void Gate::irecv(RecvRequest& req, Tag tag, void* buf, std::size_t cap) {
   req.matched_seq = 0;
   req.source = -1;
   req.wild_set = nullptr;
-  req.port = nullptr;
   req.wild_claim.store(0, std::memory_order_relaxed);
   req.core.reset();
   match_or_post(req);

@@ -74,6 +74,11 @@ class Gate {
   /// SessionConfig::pool_bufs_initial). `peer_rank` identifies the peer in
   /// the owning cluster (reported as RecvRequest::source on every match;
   /// -1 when the caller doesn't care).
+  ///
+  /// A rail-less gate (empty `rails`) only matches: it never sends, pings
+  /// or polls, and is fed through arrive_eager(). The membership layer
+  /// builds one per origin of forwarded traffic, outside the session's
+  /// gate table so the failure detector never pings or times it out.
   Gate(Session& session, std::vector<transport::IChannel*> rails,
        int peer_rank = -1);
   ~Gate();
@@ -118,8 +123,9 @@ class Gate {
   /// fragments, each a kForward packet riding the reliability layer on
   /// every hop; `req` is attached to the LAST fragment and completes when
   /// it is acked/on the wire ("sent", eager semantics — delivery matching
-  /// happens in the destination's forward inbox). `fseq` is the origin's
-  /// per-(src,dst) message number, used for reassembly and match order.
+  /// happens on the destination's origin gate for `src`). `fseq` is the
+  /// origin's per-(src,dst) message number, used for reassembly and match
+  /// order.
   void isend_forward(SendRequest& req, int src, int dst, Tag tag,
                      uint64_t fseq, const void* buf, std::size_t len);
 
@@ -127,6 +133,12 @@ class Gate {
   /// gate's peer, fire-and-forget (no request; the per-hop reliability
   /// layer still acks/retransmits the packet itself).
   void forward_raw(const ForwardFrame& frame);
+
+  /// Destination side: match one reassembled forwarded message (`seq` is
+  /// the origin's fseq) exactly like an eager arrival on the wire. Called
+  /// on the rail-less origin gate of the message's source.
+  void arrive_eager(Tag tag, uint64_t seq, const uint8_t* payload,
+                    std::size_t len);
 
   /// Poll one rail: drain RX (dispatch arrivals) and TX (complete sends,
   /// advance rendezvous pulls) completion queues. Returns events handled.

@@ -18,7 +18,6 @@ namespace piom::nmad {
 
 class Gate;
 class WildSet;
-class WildPort;
 struct RecvRequest;
 
 /// Completion flag + wakeup shared by both request kinds.
@@ -124,9 +123,6 @@ struct RecvRequest {
   /// gates that joined the set after the post — *before* signalling
   /// completion (WildSet::purge).
   WildSet* wild_set = nullptr;
-  /// Non-null for directed receives parked on a non-gate port (the
-  /// membership forward inbox); mutually exclusive with gate/wild_set.
-  WildPort* port = nullptr;
   RequestCore core;
   RdvPull pull;  ///< embedded: no allocation on the rendezvous path either
 

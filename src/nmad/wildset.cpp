@@ -16,13 +16,25 @@ void WildSet::add_gate(Gate* g) {
   // complete the request, which re-enters purge(). A request claimed in
   // the meantime is rejected by the claim re-check under g's matcher lock
   // (the same serialization that protects sibling-gate registrations).
-  for (RecvRequest* r : parked) (void)g->post_wild(*r);
-}
-
-void WildSet::set_port(WildPort* port) {
-  lock_.lock();
-  port_ = port;
-  lock_.unlock();
+  // Each registration is announced under lock_ first, and only while the
+  // request is still pending: purge() erases it from pending_ and then
+  // waits for the announcement to go, so the claimer cannot complete the
+  // request (letting its owner free it) while post_wild still reads it.
+  const std::thread::id me = std::this_thread::get_id();
+  for (RecvRequest* r : parked) {
+    lock_.lock();
+    if (std::find(pending_.begin(), pending_.end(), r) == pending_.end()) {
+      lock_.unlock();
+      continue;  // purged since the snapshot: claimed, maybe freed
+    }
+    registering_.emplace_back(r, me);
+    lock_.unlock();
+    (void)g->post_wild(*r);
+    lock_.lock();
+    registering_.erase(std::find(registering_.begin(), registering_.end(),
+                                 std::make_pair(r, me)));
+    lock_.unlock();
+  }
 }
 
 void WildSet::post(RecvRequest& req, Tag tag, void* buf, std::size_t cap) {
@@ -35,39 +47,43 @@ void WildSet::post(RecvRequest& req, Tag tag, void* buf, std::size_t cap) {
   req.source = -1;
   req.wild_claim.store(0, std::memory_order_relaxed);
   req.wild_set = this;
-  req.port = nullptr;
   req.core.reset();
   std::vector<Gate*> members;
   lock_.lock();
   pending_.push_back(&req);
   members.assign(gates_.begin(), gates_.end());
-  WildPort* port = port_;
   lock_.unlock();
   for (Gate* g : members) {
-    if (g != nullptr && g->post_wild(req)) return;
+    if (g->post_wild(req)) return;
   }
-  if (port != nullptr) (void)port->post_wild(req);
 }
 
-void WildSet::purge(RecvRequest& req, const void* claimer) {
+void WildSet::purge(RecvRequest& req, const Gate* claimer) {
+  const std::thread::id me = std::this_thread::get_id();
+  auto elsewhere = [&](const std::pair<RecvRequest*, std::thread::id>& e) {
+    return e.first == &req && e.second != me;
+  };
   std::vector<Gate*> members;
   lock_.lock();
   pending_.erase(std::remove(pending_.begin(), pending_.end(), &req),
                  pending_.end());
+  // An add_gate registration of req on another thread must finish before
+  // the claimer completes req. One this thread runs further up its own
+  // stack (the registration matched and completed inline) is not waited
+  // for: it cannot finish before this purge returns.
+  while (std::any_of(registering_.begin(), registering_.end(), elsewhere)) {
+    lock_.unlock();
+    std::this_thread::yield();
+    lock_.lock();
+  }
   members.assign(gates_.begin(), gates_.end());
-  WildPort* port = port_;
   lock_.unlock();
   // A gate added after this snapshot cannot re-register the request: its
   // add_gate snapshot no longer contains it (erased above, serialized by
   // lock_), and a registration racing the erase is rejected by the claim
   // re-check under that gate's matcher lock.
   for (Gate* g : members) {
-    if (g != nullptr && static_cast<const void*>(g) != claimer) {
-      g->remove_expected(req);
-    }
-  }
-  if (port != nullptr && static_cast<const void*>(port) != claimer) {
-    port->remove_expected(req);
+    if (g != claimer) g->remove_expected(req);
   }
 }
 
@@ -75,12 +91,10 @@ bool WildSet::cancel(RecvRequest& req) {
   std::vector<Gate*> members;
   lock_.lock();
   members.assign(gates_.begin(), gates_.end());
-  WildPort* port = port_;
   lock_.unlock();
   for (Gate* g : members) {
-    if (g != nullptr && g->cancel_recv(req)) return true;
+    if (g->cancel_recv(req)) return true;
   }
-  if (port != nullptr && port->cancel_recv(req)) return true;
   return false;
 }
 

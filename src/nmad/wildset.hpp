@@ -3,11 +3,8 @@
 // the set of match candidates *grows while requests are parked*, so the
 // registry is a first-class object: gates join it when they are created,
 // and every pending wildcard is (exactly once) registered with each member.
-//
-// A WildPort is a non-gate match candidate — the membership layer's forward
-// inbox, where messages from ranks this rank has no direct gate to arrive.
-// It obeys the same post_wild/remove_expected contract as Gate, including
-// the claim re-check under its own lock (see Gate::match_or_post).
+// Members are direct gates and the rail-less origin gates that match
+// forwarded traffic (mpi/membership.hpp) alike.
 //
 // Coverage invariant: for every (pending request, member) pair exactly one
 // side performs the registration. post() appends the request and snapshots
@@ -17,9 +14,17 @@
 // The actual post_wild calls run OUTSIDE the lock: a registration can match
 // staged data and complete the request inline, which re-enters the set via
 // purge().
+//
+// Lifetime rule: no member touches a request after its claimer purged it
+// (the owner may free it the moment it completes). add_gate() runs on
+// another thread than the request's owner, so each of its registrations is
+// announced under the lock: purge() drops the request from add_gate
+// snapshots and waits out a registration of it running on another thread.
 #pragma once
 
 #include <cstddef>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "nmad/types.hpp"
@@ -29,22 +34,6 @@ namespace piom::nmad {
 
 class Gate;
 struct RecvRequest;
-
-/// A non-gate wildcard match candidate (the membership forward inbox).
-/// Same contract as the corresponding Gate methods.
-class WildPort {
- public:
-  virtual ~WildPort() = default;
-  /// Register an any-source receive: match immediately against staged
-  /// arrivals, else park. True when the request needs no further
-  /// registrations (matched here, or already claimed elsewhere).
-  virtual bool post_wild(RecvRequest& req) = 0;
-  /// Drop a registration claimed elsewhere. No-op when not parked here.
-  virtual void remove_expected(RecvRequest& req) = 0;
-  /// Withdraw + error-complete a parked receive (MPI_Cancel-style). False
-  /// when the request is not parked here.
-  virtual bool cancel_recv(RecvRequest& req) = 0;
-};
 
 class WildSet {
  public:
@@ -56,19 +45,15 @@ class WildSet {
   /// Called once per gate, at creation.
   void add_gate(Gate* g);
 
-  /// Install the (single) non-gate member. Must happen before any post().
-  void set_port(WildPort* port);
-
   /// Post `req` as an any-source receive across the current membership
   /// (and, transparently, any gate added later). Initialises the request
   /// like Gate::irecv does. `req` must outlive its completion.
   void post(RecvRequest& req, Tag tag, void* buf, std::size_t cap);
 
-  /// Remove a claimed request from every member except `claimer` (compared
-  /// by address — a Gate* or WildPort* cast to void*). Must be called
-  /// WITHOUT locks and BEFORE completing the request, by whoever won the
-  /// claim CAS.
-  void purge(RecvRequest& req, const void* claimer);
+  /// Remove a claimed request from every member except `claimer`. Must be
+  /// called WITHOUT locks and BEFORE completing the request, by whoever won
+  /// the claim CAS. Returns once no other thread is registering `req`.
+  void purge(RecvRequest& req, const Gate* claimer);
 
   /// Cancel a parked wildcard: first member that still holds it withdraws
   /// and error-completes it. False when no member holds it (matched
@@ -81,7 +66,9 @@ class WildSet {
   mutable sync::SpinLock lock_;
   std::vector<Gate*> gates_ PIOM_GUARDED_BY(lock_);
   std::vector<RecvRequest*> pending_ PIOM_GUARDED_BY(lock_);
-  WildPort* port_ PIOM_GUARDED_BY(lock_) = nullptr;
+  /// add_gate() registrations in flight, with the thread running each.
+  std::vector<std::pair<RecvRequest*, std::thread::id>> registering_
+      PIOM_GUARDED_BY(lock_);
 };
 
 }  // namespace piom::nmad

@@ -11,7 +11,9 @@
 //   * Forwarding — off-view point-to-point traffic is relayed along the
 //     tree (Membership::stats proves frames were originated, relayed by an
 //     interior rank, and delivered), including payloads larger than the
-//     kForward fragment size.
+//     kForward fragment size. Forwarded arrivals honour MPI post order
+//     (earliest-posted matching receive wins) under both overlays and both
+//     matcher layouts.
 //   * Races — first-message gate creation racing a wildcard receive, and
 //     two ranks first-messaging each other simultaneously (the connector's
 //     idempotent-pair protocol).
@@ -81,7 +83,7 @@ class ScaleMatrix : public ::testing::TestWithParam<Param> {};
 // pair count one CPU can progress; the p2p phase talks to the ring
 // neighbour (in view) and the diametral rank (outside the sparse view, so
 // it exercises forwarding), not all N-1 peers — the dense world stays lazy
-// and the simnet instance doesn't spawn a quadratic NIC-thread mesh.
+// and wires O(N) pairs instead of the quadratic mesh.
 TEST_P(ScaleMatrix, SparseIsADropInForDense) {
   const auto [kind, overlay, mesh] = GetParam();
   constexpr int n = 16;
@@ -370,6 +372,64 @@ TEST(Forwarding, OffViewTrafficRidesTheTree) {
   EXPECT_GE(relayed, 1u) << "a 13->0 route at fanout 2 has interior hops";
 }
 
+// An any-source receive posted BEFORE a directed receive on the same tag
+// must win the first message from that source (MPI: the earliest-posted
+// matching receive matches). Forwarded traffic is matched on the origin's
+// rail-less gate, whose post-order stamps enforce this exactly like a
+// direct gate's — so the outcome may not depend on the overlay.
+using OrderParam = std::tuple<OverlayMode, nmad::MatcherKind>;
+class ForwardingOrder : public ::testing::TestWithParam<OrderParam> {};
+
+TEST_P(ForwardingOrder, EarliestPostedReceiveWins) {
+  const auto [overlay, matcher] = GetParam();
+  constexpr int n = 16;
+  WorldConfig cfg = scale_config(EngineKind::kPioman, n, overlay,
+                                 MeshKind::kShmem, /*fanout=*/2);
+  cfg.session.matcher = matcher;
+  World world(cfg);
+  const int src = 13, dst = 0;
+  if (overlay == OverlayMode::kSparse) {
+    ASSERT_FALSE(world.comm(src).membership().in_view(dst))
+        << "pick a pair outside the view or the test asserts nothing";
+  }
+  Comm& rx = world.comm(dst);
+  int32_t wild = -1, directed = -1;
+  Request r_any, r_dir;
+  rx.irecv(r_any, Comm::kAnySource, 21, &wild, sizeof(wild));
+  rx.irecv(r_dir, src, 21, &directed, sizeof(directed));
+
+  const int32_t first = 1301, second = 1302;
+  world.comm(src).send(dst, 21, &first, sizeof(first));
+  // Bounded: whichever receive took the message completes; a wrong match
+  // must fail the assertions below, not hang the test.
+  const int64_t deadline =
+      util::now_ns() + static_cast<int64_t>(10e9 * kTimeDilation);
+  while (!rx.test(r_any) && !rx.test(r_dir) && util::now_ns() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(r_any.done()) << "the earlier any-source receive lost";
+  EXPECT_FALSE(r_dir.done()) << "the later directed receive won";
+
+  world.comm(src).send(dst, 21, &second, sizeof(second));
+  rx.wait(r_any);
+  rx.wait(r_dir);
+  EXPECT_EQ(wild, first);
+  EXPECT_EQ(r_any.status().source, src);
+  EXPECT_EQ(directed, second);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OverlaysMatchers, ForwardingOrder,
+    ::testing::Combine(::testing::Values(OverlayMode::kDense,
+                                         OverlayMode::kSparse),
+                       ::testing::Values(nmad::MatcherKind::kBucket,
+                                         nmad::MatcherKind::kScan)),
+    [](const auto& info) {
+      return std::string(overlay_mode_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == nmad::MatcherKind::kScan ? "_scan"
+                                                                  : "_bucket");
+    });
+
 // ---- first-contact races ---------------------------------------------------
 
 TEST(LazyGates, FirstMessageRacesWildcardReceive) {
@@ -441,7 +501,9 @@ TEST(DeathFlood, OffViewSurvivorLearnsOfTheFailure) {
   // fanout 2, N=8: the victim (7) is a leaf whose view is {parent 3, ring
   // 6, ring 0}. Rank 4 holds no gate to it, so its own detector can never
   // time the victim out — it must adopt the verdict from the death notice
-  // flooded along the tree.
+  // flooded along the tree. Adopting it evicts rank 4's origin gate for the
+  // victim, which must error-complete rank 4's receives parked on the
+  // forwarded path: a directed one from the victim and an any-source one.
   constexpr int n = 8;
   WorldConfig cfg = scale_config(EngineKind::kOpenMpiLike, n,
                                  OverlayMode::kSparse, MeshKind::kShmem,
@@ -452,6 +514,11 @@ TEST(DeathFlood, OffViewSurvivorLearnsOfTheFailure) {
   World world(cfg);
   const int victim = 7;
   ASSERT_FALSE(world.comm(4).membership().in_view(victim));
+  Comm& off_view = world.comm(4);
+  int32_t from_victim = -1, wild = -1;
+  Request r_dir, r_any;
+  off_view.irecv(r_dir, victim, 31, &from_victim, sizeof(from_victim));
+  off_view.irecv(r_any, Comm::kAnySource, 31, &wild, sizeof(wild));
 
   world.kill_rank(victim);
   const int64_t deadline =
@@ -478,6 +545,11 @@ TEST(DeathFlood, OffViewSurvivorLearnsOfTheFailure) {
     notices += world.comm(r).membership().stats().death_notices;
   }
   EXPECT_GE(notices, 1u) << "nobody flooded a death notice";
+  EXPECT_TRUE(off_view.test(r_dir) && r_dir.failed())
+      << "directed receive from the victim outlived the verdict";
+  EXPECT_TRUE(off_view.test(r_any) && r_any.failed())
+      << "any-source receive outlived the verdict";
+  EXPECT_EQ(r_dir.status().source, victim);
 }
 
 }  // namespace
