@@ -3,19 +3,18 @@
 //
 // Rows are (overlay, N); columns the per-call latency of barrier / 1 KiB
 // bcast / 256-double allreduce plus the *maximum per-rank gate count* the
-// run left behind. The gate column is the point: dense collectives wire
-// the algorithm's whole peer pattern (O(log N) for the dissemination
-// barrier, up to O(N) for rooted fan-ins), while the sparse overlay is
-// bounded by the view — fanout + 3 gates per rank no matter how large N
-// grows.
+// run left behind. Both overlays run the same tree algorithms, so the
+// columns compare one algorithm over two gate sets: dense wires only the
+// tree edges the collectives use (fanout + 1 gates at most), while the
+// sparse overlay eagerly holds its whole view — fanout + 3 gates per rank
+// — no matter how large N grows.
 //
 // Everything runs on the caller-driven openmpi-like engine over a pure
 // shmem mesh: no background progress threads and no per-channel NIC
-// threads, so an N=256 world is N ranks' worth of *state*, not threads —
-// the only configuration that measures anything meaningful on the 1-CPU
-// containers this repo's CI uses (see bench/README.md). Latencies at big
-// N are still N threads time-slicing one core: treat the columns as
-// relative (dense vs sparse at equal N), not absolute.
+// threads, so an N=256 world is N ranks' worth of *state* plus the N
+// caller threads. Latencies at big N are those threads time-slicing the
+// host's cores: treat the columns as relative (dense vs sparse at equal
+// N), not absolute.
 //
 // --quick shrinks N and the iteration counts; --json <path> records the
 // BENCH_*.json layout (baseline: BENCH_table_scale.json).
@@ -119,9 +118,9 @@ int main(int argc, char** argv) {
   std::printf(
       "=== collective scaling — dense vs sparse overlay (openmpi-like "
       "engine, shmem mesh) ===\n"
-      "expected shape: latencies comparable at small N; the max_gates\n"
-      "column stays flat (fanout+3) under sparse while dense grows with\n"
-      "the algorithm's peer pattern\n\n");
+      "expected shape: one tree algorithm on two gate sets; the\n"
+      "max_gates column stays flat — fanout+1 (tree edges) under dense,\n"
+      "fanout+3 (tree + ring view) under sparse\n\n");
 
   const int label_w = 16, cell_w = 14;
   piom::bench::print_row(

@@ -18,8 +18,14 @@ nesting (e.g. per-engine latencies keyed by engine name). CI runs this
 over the repo baselines *and* the quick-run outputs, so format drift
 fails the build instead of rotting silently.
 
+Committed baselines must also say where they came from: in the
+no-argument mode a "commit" of "unrecorded" fails (record with
+$PIOM_BENCH_COMMIT set). Fresh outputs named on the command line may
+stay unrecorded.
+
 Usage: check_bench_json.py [file.json ...]
-       (no arguments: validate every BENCH_*.json in the repo root)
+       (no arguments: validate every BENCH_*.json in the repo root as a
+       committed baseline)
 """
 
 import glob
@@ -44,7 +50,8 @@ def check_scalar(path, where, value):
     return True
 
 
-def check_file(path):
+def check_file(path, baseline=False):
+    """Validate one file; `baseline` adds the committed-baseline rules."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -64,6 +71,9 @@ def check_file(path):
     for key in ("bench", "commit", "date"):
         if not isinstance(doc[key], str) or not doc[key]:
             ok = fail(path, f"'{key}' must be a non-empty string")
+    if baseline and doc["commit"] == "unrecorded":
+        ok = fail(path, "committed baseline has commit 'unrecorded' "
+                        "(re-record it with PIOM_BENCH_COMMIT set)")
 
     host = doc["host"]
     if not isinstance(host, dict):
@@ -109,13 +119,14 @@ def check_file(path):
 
 def main(argv):
     files = argv[1:]
-    if not files:
+    baseline = not files
+    if baseline:
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         files = sorted(glob.glob(os.path.join(repo_root, "BENCH_*.json")))
     if not files:
         print("check_bench_json: no files to check", file=sys.stderr)
         return 1
-    bad = [f for f in files if not check_file(f)]
+    bad = [f for f in files if not check_file(f, baseline)]
     if bad:
         print(f"check_bench_json: {len(bad)}/{len(files)} file(s) FAILED",
               file=sys.stderr)

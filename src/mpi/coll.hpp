@@ -49,18 +49,15 @@ class Engine;
 enum class ReduceOp { kSum, kMax, kMin };
 
 /// Tag sub-window of one collective flavour (bits 15..12 of the reserved
-/// tag; allreduce uses three windows, one per algorithm stage).
+/// tag; allreduce uses two windows, one per tree direction).
 enum class CollTagKind : uint32_t {
   kBarrier = 0,
   kBcast = 1,
-  kAllreduceRd = 2,    ///< recursive-doubling exchange (power-of-two N)
-  kAllreduceRs = 3,    ///< ring reduce-scatter step
-  kAllreduceAg = 4,    ///< ring allgather step
-  kGather = 5,
-  kScatter = 6,
-  kAlltoall = 7,
-  kAllreduceUp = 8,    ///< tree allreduce: child -> parent partials
-  kAllreduceDown = 9,  ///< tree allreduce: parent -> child result
+  kAllreduceUp = 2,    ///< child -> parent partials
+  kAllreduceDown = 3,  ///< parent -> child result
+  kGather = 4,
+  kScatter = 5,
+  kAlltoall = 6,
 };
 
 inline constexpr uint32_t kCollEpochMask = 0xfffu;
@@ -139,22 +136,17 @@ class CollOp {
  private:
   friend class Comm;
 
-  /// Algorithm selected at start (kept distinct from CollTagKind: the two
-  /// allreduce algorithms share one API kind but use different windows).
+  /// Algorithm selected at start (kept distinct from CollTagKind: the
+  /// allreduce uses two tag windows). Barrier, bcast and allreduce walk the
+  /// membership's fanout tree, so an N-rank collective touches O(fanout)
+  /// gates per rank in either overlay.
   enum class Algo : uint8_t {
-    kBarrier,
-    kBcast,
-    kAllreduceRd,    ///< recursive doubling (N power of two)
-    kAllreduceRing,  ///< ring reduce-scatter + allgather (other N)
+    kBarrier,    ///< fan-in to the tree root, fan-out back
+    kBcast,      ///< root feeds its subtree and rank 0, which floods the rest
+    kAllreduce,  ///< reduce up the tree, broadcast the result down
     kGather,
     kScatter,
     kAlltoall,
-    // Sparse-overlay variants: every edge is a membership-view (tree)
-    // edge, so an N-rank collective touches O(fanout) gates per rank
-    // instead of O(N) — selected when Membership::sparse_collectives().
-    kBarrierTree,    ///< fan-in to the tree root, fan-out back
-    kBcastTree,      ///< root hands off to rank 0, then tree flood
-    kAllreduceTree,  ///< reduce up the tree, broadcast the result down
   };
 
   // start_*: reset the handle, record parameters, pick the algorithm.
@@ -181,10 +173,6 @@ class CollOp {
   /// Run the current phase's continuation and post the next round's
   /// point-to-point requests. Returns false when the collective finished.
   bool step();
-  bool step_barrier();
-  bool step_bcast();
-  bool step_allreduce_rd();
-  bool step_allreduce_ring();
   bool step_gather();
   bool step_scatter();
   bool step_alltoall();
@@ -199,17 +187,11 @@ class CollOp {
   /// until the round completes; deque keeps them pinned in place).
   void post_send(int dst, Tag t, const void* buf, std::size_t len);
   void post_recv(int src, Tag t, void* buf, std::size_t cap);
-  /// Ring allreduce chunking: first element of chunk `c`.
-  [[nodiscard]] std::size_t chunk_begin(int c, int n) const {
-    return (count_ * static_cast<std::size_t>(c)) / static_cast<std::size_t>(n);
-  }
 
   Comm* comm_ = nullptr;
   Algo algo_ = Algo::kBarrier;
   uint32_t epoch_ = 0;
-  int cursor_ = 0;  ///< round / phase / step index (meaning per algorithm)
-  int stage_ = 0;   ///< coarse sub-state (bcast recv/send, ring RS/AG)
-  int mask_ = 0;    ///< bcast: binomial position after the parent search
+  int cursor_ = 0;  ///< round / stage index (meaning per algorithm)
   std::deque<Request> reqs_;  ///< current round's in-flight p2p requests
 
   // Parameters (union-of-needs across the algorithms).
@@ -221,7 +203,7 @@ class CollOp {
   std::size_t esize_ = 0;       ///< allreduce: element size
   ReduceOp rop_ = ReduceOp::kSum;
   coll_detail::CombineFn combine_ = nullptr;
-  std::vector<uint8_t> scratch_;  ///< allreduce: partner data / ring chunk
+  std::vector<uint8_t> scratch_;  ///< allreduce: one slot per tree child
 
   bool active_ = false;
   bool failing_ = false;  ///< a rank died: draining towards error completion

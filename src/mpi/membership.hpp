@@ -57,7 +57,7 @@ using Tag = nmad::Tag;
 
 enum class OverlayMode {
   kDense,   ///< full logical mesh, lazy gates, no forwarding
-  kSparse,  ///< tree+ring view, multi-hop forwarding, tree collectives
+  kSparse,  ///< tree+ring view, multi-hop forwarding
 };
 
 [[nodiscard]] const char* overlay_mode_name(OverlayMode m);
@@ -176,14 +176,12 @@ class Membership {
 
   [[nodiscard]] OverlayMode mode() const { return mode_; }
   [[nodiscard]] bool sparse() const { return mode_ == OverlayMode::kSparse; }
-  /// Sparse collectives (tree bcast/allreduce/barrier) selected?
-  [[nodiscard]] bool sparse_collectives() const { return sparse(); }
   [[nodiscard]] int fanout() const { return fanout_; }
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int nranks() const { return nranks_; }
   /// Tree parent (-1 at the root) and children — meaningful in both modes
-  /// (the tree collectives read them), but only the sparse view keeps the
-  /// edges warm.
+  /// (barrier, bcast and allreduce run over them), but only the sparse
+  /// view keeps the edges warm.
   [[nodiscard]] int parent() const { return parent_; }
   [[nodiscard]] const std::vector<int>& children() const { return children_; }
   /// The peers this rank keeps direct links to (sparse: tree + ring,

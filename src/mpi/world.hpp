@@ -211,17 +211,20 @@ class Comm {
   // wait(). All buffers passed to an i…() call must stay valid until the
   // request completes.
 
-  /// Synchronize all ranks (dissemination algorithm, ceil(log2 N) rounds).
+  /// Synchronize all ranks (fan-in to rank 0 over the membership's fanout
+  /// tree, then fan-out back down).
   void ibarrier(CollRequest& req);
   void barrier();
 
-  /// Broadcast `len` bytes from `root` to every rank (binomial tree).
+  /// Broadcast `len` bytes from `root` to every rank (a non-zero root hands
+  /// the payload to rank 0 and feeds its own subtree; rank 0 floods the
+  /// rest of the fanout tree).
   void ibcast(CollRequest& req, void* buf, std::size_t len, int root);
   void bcast(void* buf, std::size_t len, int root);
 
   /// Element-wise reduction across all ranks; every rank ends up with the
-  /// combined result. Recursive doubling when N is a power of two, ring
-  /// reduce-scatter + allgather otherwise. T must be an arithmetic type.
+  /// combined result: reduce up the fanout tree to rank 0, then broadcast
+  /// the result back down. T must be an arithmetic type.
   template <typename T>
   void iallreduce(CollRequest& req, T* data, std::size_t count, ReduceOp op) {
     static_assert(std::is_arithmetic_v<T>, "iallreduce needs arithmetic T");

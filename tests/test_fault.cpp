@@ -409,9 +409,9 @@ TEST(RdvDrain, RendezvousCollectivesErrorCompleteAfterKill) {
         for (int64_t iter = 0; !run_over(); ++iter) {
           ASSERT_LT(util::now_ns(), give_up)
               << "rank " << r << ": no failure verdict after 20 budgets";
-          // N = 4 is a power of two: recursive doubling swaps the whole
-          // 8 KiB vector with a different partner every phase, so a kill
-          // lands between survivors mid-rendezvous with high probability.
+          // The tree allreduce moves the whole 8 KiB vector up to rank 0
+          // and back down every iteration, so a kill lands between
+          // survivors mid-rendezvous with high probability.
           std::vector<int64_t> red(kElems, iter + r);
           CollRequest cr;
           comm.iallreduce(cr, red.data(), red.size(), ReduceOp::kSum);
@@ -469,7 +469,7 @@ TEST(RdvDrain, ParkedRendezvousRoundIsNackedWhileSurvivorsStayLive) {
 
   world.kill_rank(2);
   // Rank 0 roots an ibcast right away, before its detector can have fired:
-  // the binomial fan-out posts rendezvous sends to both rank 1 and the
+  // the tree fan-out posts rendezvous sends to both rank 1 and the
   // (already dead) rank 2 in its first advance. Rank 1 never starts the
   // bcast — the survivor that observed the failure and stopped calling
   // collectives — so rank 0's RTS towards it stages unmatched.

@@ -8,6 +8,8 @@
 //     second root's fan-out lands in the first ibcast's posted receive);
 //   * wildcard guard — a kAnySource/kAnyTag receive posted while
 //     collectives run must never claim reserved-tag (collective) packets.
+// A wire-count check pins the tree bcast's non-zero-root path: the root
+// hands its payload to rank 0 and gets nothing back on that edge.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <numeric>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -191,35 +194,38 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- tag-epoch regression --------------------------------------------------
 //
-// Two back-to-back ibcasts of the same kind but different roots, N=4:
-// binomial trees rooted at 0 and at 2 share the edge 2→3. Rank 2 cannot
-// forward bcast A (it waits on slow root 0) but, as root of bcast B, fans
-// out immediately — so B's payload reaches rank 3 FIRST, while rank 3 has
-// both receives posted in order A, B. With epoch-less collective tags both
-// transfers carry the same tag and FIFO matching hands B's payload to A's
-// receive (verified: masking the epoch out of make_coll_tag makes this
-// fail). The per-Comm epoch keeps the tags distinct, so B's early arrival
-// waits unexpected until B's own receive claims it.
+// Two back-to-back ibcasts of the same kind but different roots, N=4,
+// fanout 4 (rank 0's children are 1, 2 and 3): bcast A is rooted at the
+// slow rank 3, bcast B at rank 0. Rank 0 cannot flood A before rank 3's
+// handoff lands, but, as root of B, floods B at once — so B's payload
+// reaches ranks 1 and 2 FIRST, while each has both receives from rank 0
+// posted in order A, B. With epoch-less collective tags both floods carry
+// the same tag and FIFO matching hands B's payload to A's receive
+// (verified: masking the epoch out of make_coll_tag makes this fail). The
+// per-Comm epoch keeps the tags distinct, so B's early arrival waits
+// unexpected until B's own receive claims it.
 TEST(ICollTagEpoch, BackToBackSameKindDoNotCrossMatch) {
   constexpr int kN = 4;
   for (const EngineKind kind :
        {EngineKind::kMvapichLike, EngineKind::kPioman}) {
-    World world(icoll_config(kind, kN));
+    WorldConfig cfg = icoll_config(kind, kN);
+    cfg.overlay.fanout = 4;
+    World world(cfg);
     std::vector<std::thread> ranks;
     for (int r = 0; r < kN; ++r) {
       ranks.emplace_back([&world, r] {
         Comm& comm = world.comm(r);
         std::vector<int32_t> a(8), b(8);
-        if (r == 0) std::iota(a.begin(), a.end(), 111);  // bcast A payload
-        if (r == 2) std::iota(b.begin(), b.end(), 222);  // bcast B payload
-        if (r == 0) {
-          // The slow rank: hold A's root fan-out back until B (started
-          // after A everywhere) has certainly reached rank 3.
+        if (r == 3) std::iota(a.begin(), a.end(), 111);  // bcast A payload
+        if (r == 0) std::iota(b.begin(), b.end(), 222);  // bcast B payload
+        if (r == 3) {
+          // The slow rank: hold A's handoff back until B (started after A
+          // everywhere) has certainly reached ranks 1 and 2.
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
         }
         CollRequest ra, rb;
-        comm.ibcast(ra, a.data(), a.size() * sizeof(int32_t), 0);
-        comm.ibcast(rb, b.data(), b.size() * sizeof(int32_t), 2);
+        comm.ibcast(ra, a.data(), a.size() * sizeof(int32_t), 3);
+        comm.ibcast(rb, b.data(), b.size() * sizeof(int32_t), 0);
         comm.wait(ra);
         comm.wait(rb);
         for (std::size_t i = 0; i < a.size(); ++i) {
@@ -237,7 +243,7 @@ TEST(ICollTagEpoch, BackToBackSameKindDoNotCrossMatch) {
 // Many same-kind collectives in flight at once (deep epoch pipeline):
 // results must match as if they ran one by one.
 TEST(ICollTagEpoch, DeepPipelineOfSameKindCollectives) {
-  constexpr int kN = 3;  // odd: exercises the ring allreduce
+  constexpr int kN = 3;  // rank 0 folds two children's partials per round
   constexpr int kDepth = 8;
   World world(icoll_config(EngineKind::kPioman, kN));
   std::vector<std::thread> ranks;
@@ -270,6 +276,56 @@ TEST(ICollTagEpoch, DeepPipelineOfSameKindCollectives) {
     });
   }
   for (auto& t : ranks) t.join();
+}
+
+// ---- non-zero bcast root ---------------------------------------------------
+//
+// The bcast tree is rooted at rank 0, so a bcast from rank 2 hands the
+// payload to rank 0 first. The root already holds the payload: rank 0 must
+// not send it back down the 0→2 edge, which would cost a message and hold
+// the root's completion for a round trip through rank 0. Counted on rank
+// 2's gate to rank 0, between two quiescent points (all threads joined),
+// in both overlays.
+TEST(ICollBcastRoot, NonZeroRootReceivesNoEcho) {
+  constexpr int kN = 4;
+  constexpr int kRoot = 2;
+  for (const auto& [kind, overlay] :
+       {std::pair{EngineKind::kMvapichLike, OverlayMode::kDense},
+        std::pair{EngineKind::kMvapichLike, OverlayMode::kSparse},
+        std::pair{EngineKind::kPioman, OverlayMode::kSparse}}) {
+    WorldConfig cfg = icoll_config(kind, kN);
+    cfg.overlay.mode = overlay;
+    cfg.overlay.fanout = 4;  // rank 0's children: 1, 2, 3
+    World world(cfg);
+    const auto run_all = [&world](auto&& body) {
+      std::vector<std::thread> ranks;
+      for (int r = 0; r < kN; ++r) {
+        ranks.emplace_back([&world, &body, r] { body(world.comm(r), r); });
+      }
+      for (auto& t : ranks) t.join();
+    };
+    const auto arrivals = [](const nmad::Gate& g) {
+      const nmad::GateStats s = g.stats();
+      return s.eager_recv + s.rdv_recv;
+    };
+    run_all([](Comm& comm, int) { comm.barrier(); });  // wires 0<->2
+    const uint64_t at_root = arrivals(world.comm(kRoot).gate_to(0));
+    const uint64_t at_zero = arrivals(world.comm(0).gate_to(kRoot));
+    run_all([](Comm& comm, int r) {
+      std::vector<int32_t> v(16);
+      if (r == kRoot) std::iota(v.begin(), v.end(), 700);
+      comm.bcast(v.data(), v.size() * sizeof(int32_t), kRoot);
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        EXPECT_EQ(v[i], 700 + static_cast<int32_t>(i)) << "rank " << r;
+      }
+    });
+    const std::string where =
+        engine_tag(kind) + "/" + overlay_mode_name(overlay);
+    EXPECT_EQ(arrivals(world.comm(kRoot).gate_to(0)), at_root)
+        << where << ": the bcast echoed the payload to its root";
+    EXPECT_EQ(arrivals(world.comm(0).gate_to(kRoot)), at_zero + 1)
+        << where << ": the root's handoff to rank 0 went missing";
+  }
 }
 
 // ---- wildcard guard --------------------------------------------------------

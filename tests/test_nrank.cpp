@@ -115,7 +115,7 @@ TEST_P(NRankAllEngines, EndToEnd) {
         }
       }
 
-      // ---- bcast (binomial tree), two roots ----
+      // ---- bcast (tree rooted at rank 0), roots 0 and N-1 ----
       comm.barrier();
       for (const int root : {0, n - 1}) {
         std::vector<int64_t> data(48);
@@ -142,7 +142,7 @@ TEST_P(NRankAllEngines, EndToEnd) {
         EXPECT_TRUE(ok) << "rendezvous bcast corrupted payload";
       }
 
-      // ---- allreduce (recursive doubling at 2/4/8, ring at 3) ----
+      // ---- allreduce (reduce up the tree, result back down) ----
       {
         std::vector<int64_t> v{r + 1, -r, r % 3};
         comm.allreduce(v.data(), v.size(), ReduceOp::kSum);
@@ -167,7 +167,7 @@ TEST_P(NRankAllEngines, EndToEnd) {
         EXPECT_DOUBLE_EQ(mn[1], 1.0);
       }
 
-      // ---- allreduce with a count that doesn't divide N (ring chunking) --
+      // ---- allreduce with a count that doesn't divide N ----
       {
         std::vector<int32_t> v(static_cast<std::size_t>(n) + 1);
         for (std::size_t i = 0; i < v.size(); ++i) {

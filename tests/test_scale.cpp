@@ -223,21 +223,31 @@ TEST(LazyGates, DenseWorldOnlyWiresPairsThatTalk) {
 }
 
 TEST(LazyGates, DenseCollectiveWiresItsPatternNotTheMesh) {
-  // The dissemination barrier at N=16 touches ranks ±2^k — 8 distinct
-  // peers per rank, not 15. The lazy mesh must only pay for those.
+  // Barrier and allreduce at N=16 walk the fanout-4 tree: each rank talks
+  // to its children and its parent only — at most 5 peers, not 15. The
+  // lazy mesh must pay for exactly those edges.
   constexpr int n = 16;
+  constexpr int fanout = 4;
   World world(scale_config(EngineKind::kOpenMpiLike, n, OverlayMode::kDense,
-                           MeshKind::kShmem));
+                           MeshKind::kShmem, fanout));
   std::vector<std::thread> ranks;
   for (int r = 0; r < n; ++r) {
-    ranks.emplace_back([&, r] { world.comm(r).barrier(); });
+    ranks.emplace_back([&, r] {
+      Comm& comm = world.comm(r);
+      comm.barrier();
+      int64_t v = r;
+      comm.allreduce(&v, 1, ReduceOp::kSum);
+      EXPECT_EQ(v, n * (n - 1) / 2) << "rank " << r;
+    });
   }
   for (auto& t : ranks) t.join();
   for (int r = 0; r < n; ++r) {
-    const int gates = world.comm(r).membership().installed_gates();
-    EXPECT_GE(gates, 1) << "rank " << r;
-    EXPECT_LE(gates, 8) << "rank " << r
-                        << " wired more than the barrier's pattern";
+    const Membership& m = world.comm(r).membership();
+    const int tree_edges =
+        static_cast<int>(m.children().size()) + (r != 0 ? 1 : 0);
+    EXPECT_EQ(m.installed_gates(), tree_edges)
+        << "rank " << r << " wired more than its tree edges";
+    EXPECT_LE(m.installed_gates(), fanout + 1) << "rank " << r;
   }
 }
 
