@@ -3,9 +3,9 @@
 // both communication and I/O in a scalable way").
 //
 // The manager owns one repeatable *polling task* per disk, submitted to the
-// TaskManager with a configurable CPU set: idle cores drain the disks'
-// completion queues exactly the way they poll NICs for nmad. Applications
-// get MPI-like nonblocking semantics:
+// TaskManager with a configurable CPU set: idle cores advance the disks and
+// drain their completion queues exactly the way they poll NICs for nmad.
+// Applications get MPI-like nonblocking semantics:
 //
 //   aio::AioManager mgr(tm, {&disk});
 //   aio::IoRequest req;

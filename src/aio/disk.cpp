@@ -3,138 +3,83 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sync/backoff.hpp"
-#include "util/timing.hpp"
-
 namespace piom::aio {
+
+namespace {
+using Guard = sync::LockGuard<sync::SpinLock>;
+}  // namespace
 
 SimDisk::SimDisk(std::string name, std::size_t capacity, DiskModel model)
     : name_(std::move(name)),
       model_(model),
-      store_(capacity, 0),
-      engine_([this] { engine_loop(); }) {}
-
-SimDisk::~SimDisk() { stop(); }
-
-void SimDisk::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-  }
-  cv_.notify_all();
-  if (engine_.joinable()) engine_.join();
-}
+      capacity_(capacity),
+      queue_(model.time_scale),
+      store_(capacity, 0) {}
 
 void SimDisk::submit_read(std::size_t offset, void* buf, std::size_t len,
                           uint64_t wrid) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    queue_.push_back(Op{DiskCompletion::Kind::kRead, offset, buf, nullptr,
-                        len, wrid});
-    queue_size_.fetch_add(1, std::memory_order_release);
-  }
-  cv_.notify_one();
+  submit(Op{{DiskCompletion::Kind::kRead, wrid}, offset, buf, nullptr}, len);
 }
 
 void SimDisk::submit_write(std::size_t offset, const void* buf,
                            std::size_t len, uint64_t wrid) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    queue_.push_back(Op{DiskCompletion::Kind::kWrite, offset, nullptr, buf,
-                        len, wrid});
-    queue_size_.fetch_add(1, std::memory_order_release);
+  submit(Op{{DiskCompletion::Kind::kWrite, wrid}, offset, nullptr, buf}, len);
+}
+
+std::size_t SimDisk::clamp(std::size_t offset, std::size_t len) const {
+  return offset < capacity_ ? std::min(len, capacity_ - offset) : 0;
+}
+
+void SimDisk::submit(Op op, std::size_t len) {
+  const std::size_t n = clamp(op.offset, len);
+  op.done.bytes = n;
+  op.done.ok = n > 0 || len == 0;
+  // Cost model: access latency + serialisation at streaming throughput.
+  queue_.enqueue(op, static_cast<int64_t>(
+                         model_.access_us * 1e3 +
+                         static_cast<double>(n) / model_.throughput_GBps));
+}
+
+DiskCompletion SimDisk::execute(const Op& op) {
+  const DiskCompletion& c = op.done;
+  Guard lk(lock_);
+  if (c.kind == DiskCompletion::Kind::kRead) {
+    if (c.bytes > 0) std::memcpy(op.rbuf, store_.data() + op.offset, c.bytes);
+    stats_.reads++;
+    stats_.bytes_read += c.bytes;
+  } else {
+    if (c.bytes > 0) std::memcpy(store_.data() + op.offset, op.wbuf, c.bytes);
+    stats_.writes++;
+    stats_.bytes_written += c.bytes;
   }
-  cv_.notify_one();
+  if (!c.ok) stats_.errors++;
+  return c;
 }
 
 bool SimDisk::poll(DiskCompletion& out) {
-  // Same Algorithm-2-style pre-check as the NIC: hot pollers must not take
-  // the mutex when the CQ is empty.
-  if (cq_size_.load(std::memory_order_acquire) == 0) return false;
-  std::lock_guard<std::mutex> lk(mutex_);
-  if (cq_.empty()) return false;
-  out = cq_.front();
-  cq_.pop_front();
-  cq_size_.fetch_sub(1, std::memory_order_release);
-  return true;
+  queue_.advance([this](const Op& op) { return execute(op); });
+  return queue_.poll(out);
 }
 
-void SimDisk::quiesce() const {
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (queue_.empty() && !engine_busy_) return;
-    }
-    std::this_thread::yield();
-  }
+void SimDisk::quiesce() {
+  queue_.quiesce([this](const Op& op) { return execute(op); });
 }
 
 DiskStats SimDisk::stats() const {
-  std::lock_guard<std::mutex> lk(mutex_);
+  Guard lk(lock_);
   return stats_;
 }
 
 void SimDisk::poke(std::size_t offset, const void* data, std::size_t len) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  const std::size_t n =
-      offset < store_.size() ? std::min(len, store_.size() - offset) : 0;
+  const std::size_t n = clamp(offset, len);
+  Guard lk(lock_);
   if (n > 0) std::memcpy(store_.data() + offset, data, n);
 }
 
 void SimDisk::peek(std::size_t offset, void* data, std::size_t len) const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  const std::size_t n =
-      offset < store_.size() ? std::min(len, store_.size() - offset) : 0;
+  const std::size_t n = clamp(offset, len);
+  Guard lk(lock_);
   if (n > 0) std::memcpy(data, store_.data() + offset, n);
-}
-
-void SimDisk::engine_loop() {
-  while (true) {
-    Op op;
-    {
-      std::unique_lock<std::mutex> lk(mutex_);
-      cv_.wait(lk, [this] {
-        return !queue_.empty() || !running_.load(std::memory_order_acquire);
-      });
-      if (queue_.empty()) return;  // stopping and drained
-      op = queue_.front();
-      queue_.pop_front();
-      queue_size_.fetch_sub(1, std::memory_order_release);
-      engine_busy_ = true;
-    }
-    // Cost model: access latency + serialisation at streaming throughput.
-    const std::size_t n =
-        op.offset < store_.size()
-            ? std::min(op.len, store_.size() - op.offset)
-            : 0;
-    const double ns = (model_.access_us * 1e3 +
-                       static_cast<double>(n) / model_.throughput_GBps) *
-                      model_.time_scale;
-    util::precise_wait_ns(static_cast<int64_t>(ns));
-
-    DiskCompletion c;
-    c.kind = op.kind;
-    c.wrid = op.wrid;
-    c.bytes = n;
-    c.ok = n > 0 || op.len == 0;
-    if (op.kind == DiskCompletion::Kind::kRead) {
-      if (n > 0) std::memcpy(op.rbuf, store_.data() + op.offset, n);
-    } else {
-      if (n > 0) std::memcpy(store_.data() + op.offset, op.wbuf, n);
-    }
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (op.kind == DiskCompletion::Kind::kRead) {
-      stats_.reads++;
-      stats_.bytes_read += n;
-    } else {
-      stats_.writes++;
-      stats_.bytes_written += n;
-    }
-    if (!c.ok) stats_.errors++;
-    cq_.push_back(c);
-    cq_size_.fetch_add(1, std::memory_order_release);
-    engine_busy_ = false;
-  }
 }
 
 }  // namespace piom::aio

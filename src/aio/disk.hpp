@@ -4,20 +4,20 @@
 // scalable way"; this module provides the I/O substrate that the AioManager
 // (aio/aio.hpp) drives through PIOMan tasks.
 //
-// The disk has its own engine thread that executes requests
-// asynchronously under a cost model (fixed access latency + streaming
-// throughput), so host code only pays for *submitting* and *polling* —
-// exactly the property that makes background progression worthwhile.
+// Like the NIC's wire, the disk is a thread-less sync::StampedQueue under a
+// cost model (access latency + streaming throughput, one request at a
+// time), executed by poll() — which AioManager's task calls — so host code
+// only pays for *submitting* and *polling*: exactly the property that
+// makes background progression worthwhile.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "sync/spinlock.hpp"
+#include "sync/stamped_queue.hpp"
 
 namespace piom::aio {
 
@@ -50,13 +50,16 @@ class SimDisk {
  public:
   /// A device of `capacity` bytes, zero-initialised.
   SimDisk(std::string name, std::size_t capacity, DiskModel model = {});
-  ~SimDisk();
+  /// Drops the requests not yet executed without touching their buffers:
+  /// only poll() and quiesce() execute requests, and neither can run once
+  /// the disk is gone.
+  ~SimDisk() = default;
 
   SimDisk(const SimDisk&) = delete;
   SimDisk& operator=(const SimDisk&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t capacity() const { return store_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const DiskModel& model() const { return model_; }
 
   /// Queue an asynchronous read of `len` bytes at `offset` into `buf`
@@ -69,11 +72,12 @@ class SimDisk {
   void submit_write(std::size_t offset, const void* buf, std::size_t len,
                     uint64_t wrid);
 
-  /// Poll the completion queue; true when `out` was filled.
+  /// Execute the requests whose modelled time has passed, then poll the
+  /// completion queue; true when `out` was filled.
   bool poll(DiskCompletion& out);
 
   /// Block until every queued request has been executed.
-  void quiesce() const;
+  void quiesce();
 
   [[nodiscard]] DiskStats stats() const;
 
@@ -83,32 +87,29 @@ class SimDisk {
 
  private:
   struct Op {
-    DiskCompletion::Kind kind = DiskCompletion::Kind::kRead;
+    DiskCompletion done;  ///< the completion, known at submit
     std::size_t offset = 0;
     void* rbuf = nullptr;
     const void* wbuf = nullptr;
-    std::size_t len = 0;
-    uint64_t wrid = 0;
   };
 
-  void engine_loop();
-  void stop();
+  /// Bytes of `len` at `offset` that lie on the device.
+  [[nodiscard]] std::size_t clamp(std::size_t offset, std::size_t len) const;
+  /// Clamp `op` at EOF, then stamp and queue it behind the last request.
+  void submit(Op op, std::size_t len);
+  /// Move the data and count it; the queue posts the returned completion.
+  DiskCompletion execute(const Op& op) PIOM_EXCLUDES(lock_);
 
   const std::string name_;
   const DiskModel model_;
-  std::vector<uint8_t> store_;
+  const std::size_t capacity_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Op> queue_;
-  std::deque<DiskCompletion> cq_;
-  std::atomic<std::size_t> queue_size_{0};
-  std::atomic<std::size_t> cq_size_{0};
-  bool engine_busy_ = false;  // guarded by mutex_
-  DiskStats stats_;           // guarded by mutex_
+  sync::StampedQueue<Op, DiskCompletion> queue_;
 
-  std::atomic<bool> running_{true};
-  std::thread engine_;
+  /// Guards the medium for the executor and poke/peek alike.
+  mutable sync::SpinLock lock_;
+  std::vector<uint8_t> store_ PIOM_GUARDED_BY(lock_);
+  DiskStats stats_ PIOM_GUARDED_BY(lock_);
 };
 
 }  // namespace piom::aio

@@ -5,7 +5,8 @@
 // queued behind the operation before it exactly as a one-op-at-a-time
 // NIC would serialise them, and executed by whichever host poll call first
 // finds it due — `poll_tx` and `quiesce` advance this NIC's queue,
-// `poll_rx` advances the peer's. This keeps the two properties the paper's
+// `poll_rx` advances the peer's. The queue is a sync::StampedQueue, the
+// core aio::SimDisk shares. This keeps the two properties the paper's
 // evaluation depends on:
 //   1. data transfer needs no host CPU on the *receiving* side: a sender
 //      that polls its own TX queue pushes its arrivals across, so
@@ -21,12 +22,12 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "simnet/link_model.hpp"
 #include "sync/spinlock.hpp"
+#include "sync/stamped_queue.hpp"
 #include "transport/channel.hpp"
 
 namespace piom::simnet {
@@ -113,7 +114,6 @@ class Nic final : public transport::IChannel {
     void* dst = nullptr;         // rdma: local destination
     std::size_t len = 0;
     uint64_t wrid = 0;
-    int64_t ready_ns = 0;        // time the op leaves the wire
   };
 
   struct RecvDesc {
@@ -128,18 +128,13 @@ class Nic final : public transport::IChannel {
     std::vector<uint8_t> data;
   };
 
-  static constexpr int64_t kIdle = std::numeric_limits<int64_t>::max();
-
-  /// Stamp `op` behind the link's last op (`cost_ns` unscaled) and queue it.
-  void enqueue(TxOp op, int64_t cost_ns) PIOM_EXCLUDES(tx_lock_);
-  /// Execute the queued ops whose wire time has passed, in FIFO order. A
-  /// no-op when another thread is already executing this NIC's queue.
-  void advance() PIOM_EXCLUDES(exec_lock_, tx_lock_);
-  /// Run the queue's head op (drop draw, delivery, stats), then dequeue it
-  /// and post its completion.
-  void execute(const TxOp& op) PIOM_REQUIRES(exec_lock_) PIOM_EXCLUDES(tx_lock_);
+  /// Execute this NIC's due operations (see sync::StampedQueue::advance).
+  void advance();
+  /// Run one queued op (drop draw, delivery, stats); the queue dequeues it
+  /// and posts the returned completion.
+  Completion execute(const TxOp& op) PIOM_EXCLUDES(stats_lock_);
   /// Deterministic per-NIC PRNG draw in [0,1) for drop decisions.
-  double drop_draw() PIOM_REQUIRES(exec_lock_);
+  double drop_draw() PIOM_REQUIRES(stats_lock_);
   /// Called from the *peer's* execute to deliver `len` bytes into our RX side.
   void deliver(const void* data, std::size_t len) PIOM_EXCLUDES(rx_lock_);
 
@@ -148,21 +143,8 @@ class Nic final : public transport::IChannel {
   const LinkModel link_;
   Nic* peer_ = nullptr;
 
-  // TX side. The queue's head stays queued while it executes, so an empty
-  // queue means nothing is in flight. The atomic mirrors let hot pollers
-  // skip the lock when nothing is due or complete (same double-check idea
-  // as the task queues' Algorithm 2).
-  mutable sync::SpinLock tx_lock_;
-  std::deque<TxOp> tx_queue_ PIOM_GUARDED_BY(tx_lock_);
-  std::deque<Completion> tx_cq_ PIOM_GUARDED_BY(tx_lock_);
-  int64_t wire_free_ns_ PIOM_GUARDED_BY(tx_lock_) = 0;
-  std::atomic<int64_t> head_ready_ns_{kIdle};  ///< head's ready_ns, or kIdle
-  std::atomic<std::size_t> tx_cq_size_{0};
-
-  /// Held (try-locked) by the one thread executing the queue: FIFO order.
-  sync::SpinLock exec_lock_;
-  uint64_t rng_state_ PIOM_GUARDED_BY(exec_lock_) = 0;
-  uint64_t sends_executed_ PIOM_GUARDED_BY(exec_lock_) = 0;
+  /// TX side: the wire, one op at a time.
+  sync::StampedQueue<TxOp, Completion> tx_;
 
   // RX side.
   mutable sync::SpinLock rx_lock_;
@@ -173,6 +155,10 @@ class Nic final : public transport::IChannel {
 
   mutable sync::SpinLock stats_lock_;
   NicStats stats_ PIOM_GUARDED_BY(stats_lock_);
+  // Only the queue's one executor draws drops and counts sends; they share
+  // the stats lock it takes once per op anyway.
+  uint64_t rng_state_ PIOM_GUARDED_BY(stats_lock_) = 0;
+  uint64_t sends_executed_ PIOM_GUARDED_BY(stats_lock_) = 0;
 
   std::atomic<bool> severed_{false};
 };

@@ -1,4 +1,4 @@
-#include "aio/fd_poll.hpp"
+#include "transport/fd_poll.hpp"
 
 #include <cerrno>
 #include <stdexcept>
@@ -11,7 +11,7 @@
 #endif
 #include <unistd.h>
 
-namespace piom::aio {
+namespace piom::transport {
 
 #ifdef __linux__
 
@@ -90,4 +90,4 @@ int FdPoller::wait(Event* out, int max_events, int timeout_ms) {
 
 #endif
 
-}  // namespace piom::aio
+}  // namespace piom::transport

@@ -1,15 +1,15 @@
-// FdPoller: the readiness half of the AIO layer — a thin epoll wrapper
-// (poll(2) fallback off Linux) that the socket transport registers its fds
-// with. There is deliberately no thread in here: whoever calls wait() owns
-// the events, which is how the event loop coexists with all three progress
-// engines (PIOMan ticks it from background poll tasks, the caller-driven
-// engines pump it from wait/test — see transport/tcp.hpp).
+// FdPoller: the socket transport's readiness layer — a thin epoll wrapper
+// (poll(2) fallback off Linux) that it registers its fds with. There is
+// deliberately no thread in here: whoever calls wait() owns the events,
+// which is how the event loop coexists with all three progress engines
+// (PIOMan ticks it from background poll tasks, the caller-driven engines
+// pump it from wait/test — see transport/tcp.hpp).
 #pragma once
 
 #include <cstddef>
 #include <unordered_map>
 
-namespace piom::aio {
+namespace piom::transport {
 
 class FdPoller {
  public:
@@ -41,4 +41,4 @@ class FdPoller {
   std::unordered_map<int, void*> tags_;
 };
 
-}  // namespace piom::aio
+}  // namespace piom::transport

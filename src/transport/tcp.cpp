@@ -995,7 +995,7 @@ int TcpTransport::pump() {
   if (!pump_lock_.try_lock()) return 0;
   sync::LockGuard<sync::MutexLock> guard(pump_lock_, sync::kAdoptLock);
   int events = 0;
-  aio::FdPoller::Event evs[kMaxEvents];
+  FdPoller::Event evs[kMaxEvents];
   const int n = poller_.wait(evs, kMaxEvents, 0);
   for (int i = 0; i < n; ++i) {
     auto* ch = static_cast<TcpChannel*>(evs[i].tag);

@@ -14,7 +14,7 @@
 // destination buffer — one kernel->user copy per direction, no staging.
 //
 // Progress model: there is NO dedicated IO thread. Each TcpTransport owns
-// an aio::FdPoller (epoll; poll(2) off Linux) and a pump() that any caller
+// an FdPoller (epoll; poll(2) off Linux) and a pump() that any caller
 // may drive — a try-lock keeps one pumper at a time. Channel poll_tx/
 // poll_rx call pump(), so PIOMan's background poll tasks tick the event
 // loop and the caller-driven engines pump it from wait/test, exactly like
@@ -35,7 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "aio/fd_poll.hpp"
+#include "transport/fd_poll.hpp"
 #include "sync/spinlock.hpp"
 #include "transport/channel.hpp"
 #include "transport/endpoint.hpp"
@@ -299,7 +299,7 @@ class TcpTransport final : public ITransport {
   void snapshot_channels(std::vector<TcpChannel*>& out) const;
 
   TcpConfig config_;
-  aio::FdPoller poller_;
+  FdPoller poller_;
   sync::MutexLock pump_lock_;
   mutable sync::MutexLock state_lock_;  ///< channels_ + listener fields
   std::vector<std::unique_ptr<TcpChannel>> channels_

@@ -2,27 +2,9 @@
 
 #include <thread>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
+#include "sync/backoff.hpp"
 
 namespace piom::util {
-
-namespace {
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  _mm_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-}  // namespace
-
-void spin_until_ns(int64_t deadline_ns) {
-  while (now_ns() < deadline_ns) {
-    cpu_relax();
-  }
-}
 
 void precise_wait_ns(int64_t duration_ns) {
   const int64_t deadline = now_ns() + duration_ns;
@@ -36,7 +18,7 @@ void precise_wait_ns(int64_t duration_ns) {
         std::chrono::nanoseconds(remaining - kSleepSlackNs));
     remaining = deadline - now_ns();
   }
-  spin_until_ns(deadline);
+  while (now_ns() < deadline) sync::cpu_relax();
 }
 
 void burn_cpu_us(double duration_us) {

@@ -23,13 +23,8 @@ namespace piom::util {
   return static_cast<double>(now_ns()) * 1e-3;
 }
 
-/// Busy-wait until the monotonic clock reaches `deadline_ns`.
-/// Used for sub-50µs waits where sleeping would destroy precision.
-void spin_until_ns(int64_t deadline_ns);
-
 /// Wait for `duration_ns`: sleeps for the bulk when the wait is long,
-/// then spins the remainder for precision (the simulated disk's engine
-/// paces its requests with this).
+/// then spins the remainder for precision.
 void precise_wait_ns(int64_t duration_ns);
 
 /// Burn CPU for approximately `duration_us` microseconds. This is the

@@ -1,6 +1,7 @@
 #include "util/trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -12,9 +13,24 @@ namespace piom::util::trace {
 
 namespace {
 
+/// Slots past kRingCapacity: one spare, the slot the writer may be
+/// overwriting while collect() copies the others.
+constexpr uint64_t kSlots = kRingCapacity + 1;
+
+/// A single-writer ring: only its thread records into it. Slot fields are
+/// atomics because collect() may copy a slot the writer is overwriting (it
+/// then discards the copy). Their release stores and acquire loads are
+/// plain moves on x86, and unlike fences ThreadSanitizer models them.
 struct Ring {
-  std::vector<Event> events = std::vector<Event>(kRingCapacity);
-  std::atomic<uint64_t> head{0};  ///< total events ever written
+  struct Slot {
+    std::atomic<int64_t> t_ns;
+    std::atomic<Kind> kind;
+    std::atomic<uint32_t> arg0;
+    std::atomic<uint64_t> arg1;
+  };
+  std::array<Slot, kSlots> slots;
+  std::atomic<uint64_t> head{0};  ///< events published (release-stored)
+  uint64_t floor = 0;  ///< reset()'s mark; guarded by g_registry_mutex
   uint32_t ordinal = 0;
 };
 
@@ -82,13 +98,15 @@ void disable() {
 
 void record(Kind kind, uint32_t arg0, uint64_t arg1) {
   Ring& ring = thread_ring();
-  const uint64_t slot = ring.head.fetch_add(1, std::memory_order_relaxed);
-  Event& e = ring.events[slot % kRingCapacity];
-  e.t_ns = now_ns();
-  e.thread = ring.ordinal;
-  e.kind = kind;
-  e.arg0 = arg0;
-  e.arg1 = arg1;
+  const uint64_t h = ring.head.load(std::memory_order_relaxed);
+  // Release: a collect() that sees any of these writes also sees the
+  // previous event's publication, head >= h.
+  Ring::Slot& s = ring.slots[h % kSlots];
+  s.t_ns.store(now_ns(), std::memory_order_release);
+  s.kind.store(kind, std::memory_order_release);
+  s.arg0.store(arg0, std::memory_order_release);
+  s.arg1.store(arg1, std::memory_order_release);
+  ring.head.store(h + 1, std::memory_order_release);
 }
 
 std::vector<Event> collect() {
@@ -97,10 +115,25 @@ std::vector<Event> collect() {
     std::lock_guard<std::mutex> lk(g_registry_mutex);
     for (Ring* ring : rings()) {
       const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t n = std::min<uint64_t>(head, kRingCapacity);
-      for (uint64_t i = head - n; i < head; ++i) {
-        out.push_back(ring->events[i % kRingCapacity]);
+      const uint64_t lo = std::max(
+          ring->floor, head - std::min<uint64_t>(head, kRingCapacity));
+      const std::size_t first = out.size();
+      for (uint64_t i = lo; i < head; ++i) {
+        const Ring::Slot& s = ring->slots[i % kSlots];
+        out.push_back(Event{s.t_ns.load(std::memory_order_acquire),
+                            ring->ordinal,
+                            s.kind.load(std::memory_order_acquire),
+                            s.arg0.load(std::memory_order_acquire),
+                            s.arg1.load(std::memory_order_acquire)});
       }
+      // Drop the copies the writer may have lapped meanwhile: it may be
+      // writing event `h` over the slot of event `h - kSlots`, and the
+      // slots of older events are already reused.
+      const uint64_t h = ring->head.load(std::memory_order_relaxed);
+      const uint64_t whole = std::max(lo, h + 1 - std::min(h + 1, kSlots));
+      const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
+      out.erase(begin, begin + static_cast<std::ptrdiff_t>(
+                                   std::min(whole, head) - lo));
     }
   }
   std::sort(out.begin(), out.end(),
@@ -111,7 +144,7 @@ std::vector<Event> collect() {
 void reset() {
   std::lock_guard<std::mutex> lk(g_registry_mutex);
   for (Ring* ring : rings()) {
-    ring->head.store(0, std::memory_order_release);
+    ring->floor = ring->head.load(std::memory_order_acquire);
   }
 }
 

@@ -47,10 +47,12 @@ void record(Kind kind, uint32_t arg0, uint64_t arg1);
 
 /// Merge every thread's ring into one vector sorted by timestamp. Events
 /// overwritten by ring wrap-around are gone (each ring keeps the most
-/// recent `kRingCapacity` events).
+/// recent `kRingCapacity` events). Safe while threads record: an event
+/// that its writer overwrites during the copy is dropped, never torn.
 [[nodiscard]] std::vector<Event> collect();
 
-/// Drop all recorded events (keeps registration).
+/// Drop all recorded events (keeps registration). Safe while threads
+/// record: it marks each ring's current head, never moves it.
 void reset();
 
 /// Human-readable rendering of a collected stream.

@@ -4,7 +4,6 @@
 
 #include <deque>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "aio/aio.hpp"
@@ -100,6 +99,15 @@ TEST(SimDisk, AccessCostIsModelled) {
   while (!disk.poll(c)) {
   }
   EXPECT_GE(util::now_ns() - t0, 500'000);
+  // Back-to-back requests serialise: the second starts when the first ends.
+  const int64_t t1 = util::now_ns();
+  disk.submit_read(0, &b, 1, 2);
+  disk.submit_read(0, &b, 1, 3);
+  for (int polled = 0; polled < 2;) {
+    if (disk.poll(c)) ++polled;
+  }
+  EXPECT_EQ(c.wrid, 3u);
+  EXPECT_GE(util::now_ns() - t1, 2 * 500'000);
 }
 
 class AioEnv : public ::testing::Test {
@@ -170,36 +178,25 @@ TEST_F(AioEnv, ManyConcurrentRequests) {
 }
 
 TEST_F(AioEnv, IoOverlapsComputation) {
-  // The point of task-driven I/O: the application thread computes while
-  // idle cores progress the disk. Total time ≈ max(compute, io), not sum.
-  //
-  // The wall-clock bound only holds when a second hardware thread can
-  // progress the disk while this one burns CPU.
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "needs >= 2 hardware threads to measure I/O overlap";
-  }
-  constexpr std::size_t kSize = 2 << 20;  // 2 MB = ~1ms at 2 GB/s (scaled)
+  // The point of task-driven I/O: the application thread computes while a
+  // runtime worker's poll task advances the disk. After submitting, this
+  // thread only burns CPU — it never touches the disk, the manager or the
+  // TaskManager — so the request can only complete in the background.
+  // The deadline bounds a failure; nothing is timed.
+  constexpr std::size_t kSize = 2 << 20;
   std::vector<uint8_t> buf(kSize);
-  // One overlapped round is scheduling-noise-bound under parallel test
-  // load, so poll against a monotonic deadline instead of asserting a
-  // single wall-clock sample: the test fails only if NO round overlaps
-  // within 10 s.
+  IoRequest req;
+  mgr_.read(disk_, 0, buf.data(), buf.size(), req);
   const int64_t deadline = util::now_ns() + 10'000'000'000;
-  double best_us = 1e18;
-  while (best_us >= 5'000.0) {
-    IoRequest req;
-    const int64_t t0 = util::now_ns();
-    mgr_.read(disk_, 0, buf.data(), buf.size(), req);
-    util::burn_cpu_us(300);
-    req.wait();
-    const double total_us = static_cast<double>(util::now_ns() - t0) * 1e-3;
-    ASSERT_TRUE(req.ok);
-    if (total_us < best_us) best_us = total_us;
-    if (util::now_ns() >= deadline) break;
+  while (!req.completed() && util::now_ns() < deadline) {
+    util::burn_cpu_us(50);
   }
-  // Sanity: total well below compute+io serial sum at full time scale.
-  EXPECT_LT(best_us, 5'000.0)
-      << "no overlapped I/O round beat the serial bound before the deadline";
+  const bool completed_while_computing = req.completed();
+  mgr_.shutdown();  // drains the read either way before `req` goes away
+  EXPECT_TRUE(completed_while_computing)
+      << "no runtime worker completed the read while the caller computed";
+  EXPECT_TRUE(req.ok);
+  EXPECT_EQ(req.bytes, kSize);
 }
 
 TEST_F(AioEnv, RequestReuseAfterCompletion) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "core/task_manager.hpp"
@@ -137,6 +138,58 @@ TEST_F(TraceTest, RingWrapKeepsMostRecent) {
   }
   EXPECT_LE(mine, kRingCapacity);
   EXPECT_EQ(max_arg, kRingCapacity + 49);
+}
+
+TEST_F(TraceTest, CollectAndResetRaceWithRecording) {
+  // One thread records without pause while this one collects and resets:
+  // every collected event must be whole (arg0 is derived from arg1), every
+  // stream time-sorted, and no copy of a slot the writer lapped may
+  // survive (the writer's events form one unbroken run of arg1).
+  const auto tag = [](uint64_t v) {
+    return static_cast<uint32_t>(v * 0x9E3779B97F4A7C15ULL >> 32);
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> written{0};
+  std::thread writer([&] {
+    for (uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+      record(Kind::kUser, tag(i), i);
+      written.store(i, std::memory_order_relaxed);
+    }
+  });
+  // The writer's first record registers its ring under the lock collect()
+  // holds; let it in before hammering collect().
+  while (written.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  std::size_t collected = 0;
+  std::size_t torn = 0;
+  std::size_t unsorted = 0;
+  std::size_t gaps = 0;
+  // Keep racing until the writer has wrapped its ring several times.
+  for (int round = 0; round < 300 || written.load(std::memory_order_relaxed) <
+                                         8 * kRingCapacity;
+       ++round) {
+    const auto events = collect();
+    collected += events.size();
+    std::vector<uint64_t> seqs;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const Event& e = events[i];
+      if (e.kind != Kind::kUser || e.arg0 != tag(e.arg1)) ++torn;
+      if (i > 0 && events[i - 1].t_ns > e.t_ns) ++unsorted;
+      seqs.push_back(e.arg1);
+    }
+    std::sort(seqs.begin(), seqs.end());
+    for (std::size_t i = 1; i < seqs.size(); ++i) {
+      if (seqs[i] != seqs[i - 1] + 1) ++gaps;
+    }
+    if (round % 3 == 0) reset();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_GT(collected, 0u);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(unsorted, 0u);
+  EXPECT_EQ(gaps, 0u);
 }
 
 TEST_F(TraceTest, FormatIsHumanReadable) {

@@ -25,11 +25,11 @@ Rules
   ctest-parallel-flag  CI must spell `ctest --parallel N`, never bare
                        `ctest ... -j` (a bare -j swallows the next
                        argument).
-  transport-thread     No thread may be spawned or owned in src/simnet/
-                       or src/transport/: every transport backend is
-                       progressed by its callers' poll paths (static
-                       members such as std::thread::hardware_concurrency
-                       are fine).
+  transport-thread     No thread may be spawned or owned in src/simnet/,
+                       src/transport/ or src/aio/: every transport backend
+                       and simulated device is progressed by its callers'
+                       poll paths (static members such as
+                       std::thread::hardware_concurrency are fine).
 
 Usage: piom_lint.py [--root DIR]
 Scans DIR/src (C++ rules) and DIR/.github (CI rule). Prints one
@@ -172,7 +172,7 @@ RELAXED_DONE = re.compile(
     r"\b\w*done\w*\.store\s*\(\s*(?:1|true)\b[^;]*memory_order_relaxed")
 RESERVED_TAG = re.compile(r"0[xX][fF]{4,}")
 THREAD_SPAWN = re.compile(r"\bstd::j?thread\b(?!\s*::)|\bpthread_create\b")
-THREADLESS_DIRS = ("src/simnet/", "src/transport/")
+THREADLESS_DIRS = ("src/simnet/", "src/transport/", "src/aio/")
 FOR_RANGE = re.compile(r"\bfor\s*\(.*?[&\s](\w+)\s*:\s*(\w+)\s*\)")
 
 
@@ -214,8 +214,8 @@ def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
         # --- rule: transport-thread
         if threadless and THREAD_SPAWN.search(line):
             findings.append((rel, lineno, "transport-thread",
-                             "transport backends own no thread (progress "
-                             "them from the poll paths)"))
+                             "transport backends and devices own no thread "
+                             "(progress them from the poll paths)"))
         # --- rule: relaxed-done-store
         if RELAXED_DONE.search(line):
             findings.append((rel, lineno, "relaxed-done-store",

@@ -22,6 +22,7 @@ import piom_lint  # noqa: E402
 EXPECTED = {
     (os.path.join(".github", "workflows", "ci.yml"), 4,
      "ctest-parallel-flag"),
+    (os.path.join("src", "aio", "engine.cpp"), 4, "transport-thread"),
     (os.path.join("src", "callback_under_lock.cpp"), 10,
      "callback-under-lock"),
     (os.path.join("src", "callback_under_lock.cpp"), 15,
