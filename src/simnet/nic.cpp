@@ -1,6 +1,5 @@
 #include "simnet/nic.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -12,6 +11,7 @@ namespace piom::simnet {
 
 namespace {
 using Guard = sync::LockGuard<sync::SpinLock>;
+using transport::Completion;
 }  // namespace
 
 Nic::Nic(Fabric& fabric, std::string name, LinkModel link)
@@ -57,18 +57,7 @@ void Nic::post_rdma_read(void* local, const void* remote, std::size_t len,
 }
 
 void Nic::post_recv(void* buf, std::size_t cap, uint64_t wrid) {
-  Guard lk(rx_lock_);
-  if (!staged_.empty()) {
-    // A message already arrived unmatched: consume it right away.
-    StagedArrival arrival = std::move(staged_.front());
-    staged_.pop_front();
-    const std::size_t n = std::min(cap, arrival.data.size());
-    if (n > 0) std::memcpy(buf, arrival.data.data(), n);
-    rx_cq_.push_back(Completion{Completion::Kind::kRecv, wrid, n});
-    rx_cq_size_.fetch_add(1, std::memory_order_release);
-    return;
-  }
-  rx_descs_.push_back(RecvDesc{buf, cap, wrid});
+  rx_.post(buf, cap, wrid);
 }
 
 void Nic::advance() {
@@ -124,16 +113,10 @@ bool Nic::poll_rx(Completion& out) {
   // Arrivals are the peer's sends: run them, so a receiver polling on its
   // own makes progress against a sender that never polls.
   if (peer_ != nullptr) peer_->advance();
-  if (rx_cq_size_.load(std::memory_order_acquire) == 0) return false;
-  Guard lk(rx_lock_);
-  if (rx_cq_.empty()) return false;
-  out = rx_cq_.front();
-  rx_cq_.pop_front();
-  rx_cq_size_.fetch_sub(1, std::memory_order_release);
-  return true;
+  return rx_.poll(out);
 }
 
-NicStats Nic::stats() const {
+transport::ChannelStats Nic::stats() const {
   Guard lk(stats_lock_);
   return stats_;
 }
@@ -159,22 +142,7 @@ void Nic::deliver(const void* data, std::size_t len) {
     stats_.packets_rx++;
     stats_.bytes_rx += len;
   }
-  Guard lk(rx_lock_);
-  if (!rx_descs_.empty()) {
-    RecvDesc desc = rx_descs_.front();
-    rx_descs_.pop_front();
-    const std::size_t n = std::min(desc.cap, len);
-    if (n > 0) std::memcpy(desc.buf, data, n);
-    rx_cq_.push_back(Completion{Completion::Kind::kRecv, desc.wrid, n});
-    rx_cq_size_.fetch_add(1, std::memory_order_release);
-    return;
-  }
-  // No buffer posted: stage a copy (driver-level buffering of unexpected
-  // packets, as MX does for short messages).
-  StagedArrival arrival;
-  arrival.data.assign(static_cast<const uint8_t*>(data),
-                      static_cast<const uint8_t*>(data) + len);
-  staged_.push_back(std::move(arrival));
+  rx_.deliver(data, len);
 }
 
 }  // namespace piom::simnet

@@ -21,25 +21,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
 #include "simnet/link_model.hpp"
 #include "sync/spinlock.hpp"
 #include "sync/stamped_queue.hpp"
 #include "transport/channel.hpp"
+#include "transport/rx_queue.hpp"
 
 namespace piom::simnet {
 
 class Fabric;
-
-/// Completion queue entry (the transport-wide layout; historical alias).
-using Completion = transport::Completion;
-
-/// Counters for the Fig-1 aggregation bench and NIC-saturation analysis
-/// (the transport-wide layout; historical alias).
-using NicStats = transport::ChannelStats;
 
 /// The "simnet" transport backend: a modelled cluster NIC.
 class Nic final : public transport::IChannel {
@@ -71,13 +63,13 @@ class Nic final : public transport::IChannel {
 
   /// Execute this NIC's due operations, then poll the send/rdma completion
   /// queue. True when `out` was filled.
-  bool poll_tx(Completion& out) override;
+  bool poll_tx(transport::Completion& out) override;
 
   /// Execute the peer's due operations (its arrivals land here), then poll
   /// the receive completion queue.
-  bool poll_rx(Completion& out) override;
+  bool poll_rx(transport::Completion& out) override;
 
-  [[nodiscard]] NicStats stats() const override;
+  [[nodiscard]] transport::ChannelStats stats() const override;
 
   /// Posted operations not yet executed (tests).
   [[nodiscard]] std::size_t tx_backlog() const override;
@@ -116,27 +108,15 @@ class Nic final : public transport::IChannel {
     uint64_t wrid = 0;
   };
 
-  struct RecvDesc {
-    void* buf = nullptr;
-    std::size_t cap = 0;
-    uint64_t wrid = 0;
-  };
-
-  /// An arrival that found no posted receive buffer: staged copy (models
-  /// NIC/driver buffering of unexpected eager packets).
-  struct StagedArrival {
-    std::vector<uint8_t> data;
-  };
-
   /// Execute this NIC's due operations (see sync::StampedQueue::advance).
   void advance();
   /// Run one queued op (drop draw, delivery, stats); the queue dequeues it
   /// and posts the returned completion.
-  Completion execute(const TxOp& op) PIOM_EXCLUDES(stats_lock_);
+  transport::Completion execute(const TxOp& op) PIOM_EXCLUDES(stats_lock_);
   /// Deterministic per-NIC PRNG draw in [0,1) for drop decisions.
   double drop_draw() PIOM_REQUIRES(stats_lock_);
   /// Called from the *peer's* execute to deliver `len` bytes into our RX side.
-  void deliver(const void* data, std::size_t len) PIOM_EXCLUDES(rx_lock_);
+  void deliver(const void* data, std::size_t len);
 
   Fabric& fabric_;
   const std::string name_;
@@ -144,17 +124,13 @@ class Nic final : public transport::IChannel {
   Nic* peer_ = nullptr;
 
   /// TX side: the wire, one op at a time.
-  sync::StampedQueue<TxOp, Completion> tx_;
-
-  // RX side.
-  mutable sync::SpinLock rx_lock_;
-  std::deque<RecvDesc> rx_descs_ PIOM_GUARDED_BY(rx_lock_);
-  std::deque<StagedArrival> staged_ PIOM_GUARDED_BY(rx_lock_);
-  std::deque<Completion> rx_cq_ PIOM_GUARDED_BY(rx_lock_);
-  std::atomic<std::size_t> rx_cq_size_{0};
+  sync::StampedQueue<TxOp, transport::Completion> tx_;
+  /// RX side: the peer's executed sends land here (MX-style staging when
+  /// no buffer is posted).
+  transport::RxQueue rx_;
 
   mutable sync::SpinLock stats_lock_;
-  NicStats stats_ PIOM_GUARDED_BY(stats_lock_);
+  transport::ChannelStats stats_ PIOM_GUARDED_BY(stats_lock_);
   // Only the queue's one executor draws drops and counts sends; they share
   // the stats lock it takes once per op anyway.
   uint64_t rng_state_ PIOM_GUARDED_BY(stats_lock_) = 0;

@@ -50,35 +50,14 @@ std::pair<IChannel*, IChannel*> Cluster::create_sim_link(
   return fabric_.create_link(name, link);
 }
 
-Cluster::MeshWiring Cluster::create_full_mesh(
-    int nodes, int rails_per_pair, const simnet::LinkModel& link,
-    const std::string& prefix, const BackendPolicy& policy) {
-  if (nodes < 2) {
-    throw std::invalid_argument("Cluster::create_full_mesh: nodes >= 2");
-  }
-  if (rails_per_pair < 1) {
-    throw std::invalid_argument("Cluster::create_full_mesh: rails >= 1");
-  }
-  policy.validate(nodes);  // reject malformed policies before wiring anything
-  MeshWiring mesh(static_cast<std::size_t>(nodes));
-  for (auto& row : mesh) row.resize(static_cast<std::size_t>(nodes));
-  for (int i = 0; i < nodes; ++i) {
-    for (int j = i + 1; j < nodes; ++j) {
-      wire_pair(mesh, i, j, rails_per_pair, link, prefix, policy);
-    }
-  }
-  return mesh;
-}
-
-void Cluster::wire_pair(MeshWiring& mesh, int i, int j, int rails_per_pair,
-                        const simnet::LinkModel& link,
-                        const std::string& prefix,
-                        const BackendPolicy& policy) {
+void Cluster::wire_pair(int i, int j) {
   const std::string pair_name =
-      prefix + "." + std::to_string(i) + "-" + std::to_string(j);
-  auto& fwd = mesh[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-  auto& rev = mesh[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
-  const PairWiring wiring = policy.wiring(i, j);
+      lazy_prefix_ + "." + std::to_string(i) + "-" + std::to_string(j);
+  auto& fwd =
+      lazy_mesh_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+  auto& rev =
+      lazy_mesh_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
+  const PairWiring wiring = lazy_policy_.wiring(i, j);
   if (wiring == PairWiring::kTcp || wiring == PairWiring::kUds) {
     auto [a, b] = TcpTransport::create_loopback_pair(
         tcp_node(i), tcp_node(j), pair_name + ".sock",
@@ -96,9 +75,9 @@ void Cluster::wire_pair(MeshWiring& mesh, int i, int j, int rails_per_pair,
     rev.push_back(b);
   }
   if (wiring != PairWiring::kShmem) {
-    for (int r = 0; r < rails_per_pair; ++r) {
-      auto [a, b] =
-          fabric_.create_link(pair_name + ".r" + std::to_string(r), link);
+    for (int r = 0; r < lazy_rails_per_pair_; ++r) {
+      auto [a, b] = fabric_.create_link(pair_name + ".r" + std::to_string(r),
+                                        lazy_link_);
       fwd.push_back(a);
       rev.push_back(b);
     }
@@ -138,8 +117,7 @@ const std::vector<IChannel*>& Cluster::pair_rails(int rank, int peer) {
   auto& fwd =
       lazy_mesh_[static_cast<std::size_t>(rank)][static_cast<std::size_t>(peer)];
   if (fwd.empty()) {
-    wire_pair(lazy_mesh_, std::min(rank, peer), std::max(rank, peer),
-              lazy_rails_per_pair_, lazy_link_, lazy_prefix_, lazy_policy_);
+    wire_pair(std::min(rank, peer), std::max(rank, peer));
   }
   return fwd;
 }

@@ -9,9 +9,9 @@
 //     loop per in-process "rank" so each side pumps its own epoll set,
 //     the same shape a real multi-process rank has (see Bootstrap).
 //
-// create_full_mesh() wires N cluster nodes pairwise following a
-// BackendPolicy — the per-pair wiring that used to live on simnet::Fabric,
-// now covering the socket backends too.
+// init_lazy_mesh() + pair_rails() wire N cluster nodes pairwise following
+// a BackendPolicy — the per-pair wiring that used to live on
+// simnet::Fabric, now covering the socket backends too.
 #pragma once
 
 #include <memory>
@@ -63,13 +63,12 @@ class Cluster {
   std::pair<IChannel*, IChannel*> create_sim_link(
       const std::string& name, const simnet::LinkModel& link);
 
-  // ---- mesh construction ----
+  // ---- mesh construction (pairs wired on first use) ----
 
-  /// mesh[i][j] = node i's rail channels towards node j (empty when i == j).
-  using MeshWiring = std::vector<std::vector<std::vector<IChannel*>>>;
-
-  /// Wire `nodes` cluster nodes into a full mesh. `policy` decides each
-  /// unordered pair's wiring:
+  /// Declare an N-node mesh without creating any channel: pairs are wired
+  /// on first pair_rails() request instead of all upfront, so a world that
+  /// only ever talks along a sparse overlay pays O(active pairs), not
+  /// O(N²). `policy` decides each unordered pair's wiring:
   ///   * kSimnet — `rails_per_pair` NIC links over `link`, named
   ///     "<prefix>.<i>-<j>.r<k>.{a,b}" (a = lower rank's side);
   ///   * kShmem  — one shared-memory channel, "<prefix>.<i>-<j>.shm.{a,b}";
@@ -77,28 +76,18 @@ class Cluster {
   ///   * kTcp / kUds — one socket channel, "<prefix>.<i>-<j>.sock.{a,b}",
   ///     each endpoint on its own node's transport (rails_per_pair does
   ///     not multiply sockets: one connection per pair, like real TCP).
-  /// The result satisfies mesh[i][j][k]->peer() == mesh[j][i][k]. Requires
-  /// nodes >= 2, rails_per_pair >= 1 and a well-formed policy (validated
-  /// before anything is created; throws std::invalid_argument otherwise).
-  MeshWiring create_full_mesh(int nodes, int rails_per_pair,
-                              const simnet::LinkModel& link = {},
-                              const std::string& prefix = "mesh",
-                              const BackendPolicy& policy = {});
-
-  // ---- lazy pairwise wiring (sparse overlays / lazy gates) ----
-
-  /// Declare an N-node mesh without creating any channel: pairs are wired
-  /// on first pair_rails() request instead of all upfront, so a world that
-  /// only ever talks along a sparse overlay pays O(active pairs), not
-  /// O(N²). Same naming and per-pair wiring rules as create_full_mesh.
+  /// Requires nodes >= 2, rails_per_pair >= 1 and a well-formed policy
+  /// (validated before anything is recorded; throws std::invalid_argument
+  /// otherwise).
   void init_lazy_mesh(int nodes, int rails_per_pair,
                       const simnet::LinkModel& link = {},
                       const std::string& prefix = "mesh",
                       const BackendPolicy& policy = {});
 
   /// Node `rank`'s rail channels towards `peer`, creating the pair (both
-  /// directions) on first request. Thread-safe; the returned reference is
-  /// stable for the cluster's lifetime. Requires init_lazy_mesh.
+  /// directions) on first request: pair_rails(i, j)[k]->peer() ==
+  /// pair_rails(j, i)[k]. Thread-safe; the returned reference is stable
+  /// for the cluster's lifetime. Requires init_lazy_mesh.
   const std::vector<IChannel*>& pair_rails(int rank, int peer);
 
   /// Rails already created for (rank, peer); nullptr when the pair was
@@ -106,15 +95,16 @@ class Cluster {
   [[nodiscard]] const std::vector<IChannel*>* existing_pair_rails(
       int rank, int peer) const;
 
-  /// Nodes declared by init_lazy_mesh (0 = eager/none).
+  /// Nodes declared by init_lazy_mesh (0 = none).
   [[nodiscard]] int lazy_nodes() const { return lazy_nodes_; }
 
  private:
-  /// Wire the unordered pair {i, j} (i < j) into `mesh` following
-  /// `policy` — the shared body of create_full_mesh and pair_rails.
-  void wire_pair(MeshWiring& mesh, int i, int j, int rails_per_pair,
-                 const simnet::LinkModel& link, const std::string& prefix,
-                 const BackendPolicy& policy);
+  /// mesh[i][j] = node i's rail channels towards node j (empty when i == j).
+  using MeshWiring = std::vector<std::vector<std::vector<IChannel*>>>;
+
+  /// Wire the unordered pair {i, j} (i < j) into lazy_mesh_ following
+  /// the lazy policy (pair_rails' body; lazy_lock_ held).
+  void wire_pair(int i, int j);
 
   ClusterConfig config_;
   simnet::Fabric fabric_;

@@ -175,19 +175,7 @@ void ShmemChannel::post_send(const void* buf, std::size_t len,
 }
 
 void ShmemChannel::post_recv(void* buf, std::size_t cap, uint64_t wrid) {
-  rx_lock_.lock();
-  if (!staged_.empty()) {
-    StagedArrival arrival = std::move(staged_.front());
-    staged_.pop_front();
-    const std::size_t n = std::min(cap, arrival.data.size());
-    if (n > 0) std::memcpy(buf, arrival.data.data(), n);
-    rx_cq_.push_back(Completion{Completion::Kind::kRecv, wrid, n});
-    rx_cq_size_.fetch_add(1, std::memory_order_release);
-    rx_lock_.unlock();
-    return;
-  }
-  rx_descs_.push_back(RecvDesc{buf, cap, wrid});
-  rx_lock_.unlock();
+  rx_.post(buf, cap, wrid);
 }
 
 void ShmemChannel::post_rdma_read(void* local, const void* remote,
@@ -247,48 +235,28 @@ bool ShmemChannel::poll_tx(Completion& out) {
 }
 
 void ShmemChannel::drain_rx() {
-  rx_lock_.lock();
+  sync::LockGuard<sync::SpinLock> lk(rx_.lock());
   for (;;) {
     Msg* m = inbound_.try_pop();
     if (m == nullptr) break;
     const std::size_t len = m->len;
-    if (severed()) {
-      // Dead endpoint: consume the descriptor (so the producer's pipeline
-      // keeps draining and its quiesce terminates) but deliver nothing.
-      m->done.store(1, std::memory_order_release);
-      stats_lock_.lock();
-      stats_.packets_dropped++;
-      stats_lock_.unlock();
-      continue;
-    }
-    if (!rx_descs_.empty()) {
-      // Zero-copy fast path: payload goes straight from the sender's
-      // buffer into the posted receive buffer.
-      RecvDesc desc = rx_descs_.front();
-      rx_descs_.pop_front();
-      const std::size_t n = std::min(desc.cap, len);
-      if (n > 0) std::memcpy(desc.buf, m->src, n);
-      rx_cq_.push_back(Completion{Completion::Kind::kRecv, desc.wrid, n});
-      rx_cq_size_.fetch_add(1, std::memory_order_release);
-    } else {
-      // No buffer posted: stage a copy so the sender's descriptor (and
-      // buffer) can be released now.
-      StagedArrival arrival;
-      if (len > 0) {
-        arrival.data.assign(static_cast<const uint8_t*>(m->src),
-                            static_cast<const uint8_t*>(m->src) + len);
-      }
-      staged_.push_back(std::move(arrival));
-    }
+    // A dead endpoint still consumes the descriptor (so the producer's
+    // pipeline keeps draining and its quiesce terminates) but delivers
+    // nothing.
+    const bool dropped = severed();
+    if (!dropped) rx_.deliver_locked(m->src, len);
     // Completion protocol: this release store is the consumer's final
     // touch — the producer may recycle `m` the instant it observes it.
     m->done.store(1, std::memory_order_release);
     stats_lock_.lock();
-    stats_.packets_rx++;
-    stats_.bytes_rx += len;
+    if (dropped) {
+      stats_.packets_dropped++;
+    } else {
+      stats_.packets_rx++;
+      stats_.bytes_rx += len;
+    }
     stats_lock_.unlock();
   }
-  rx_lock_.unlock();
 }
 
 void ShmemChannel::pump_tx() {
@@ -306,21 +274,9 @@ bool ShmemChannel::poll_rx(Completion& out) {
       peer_->tx_backlog_.load(std::memory_order_acquire) != 0) {
     peer_->pump_tx();
   }
-  if (rx_cq_size_.load(std::memory_order_acquire) == 0 &&
-      inbound_.size() == 0) {
-    return false;
-  }
+  if (rx_.empty() && inbound_.size() == 0) return false;
   drain_rx();
-  rx_lock_.lock();
-  if (rx_cq_.empty()) {
-    rx_lock_.unlock();
-    return false;
-  }
-  out = rx_cq_.front();
-  rx_cq_.pop_front();
-  rx_cq_size_.fetch_sub(1, std::memory_order_release);
-  rx_lock_.unlock();
-  return true;
+  return rx_.poll(out);
 }
 
 ChannelStats ShmemChannel::stats() const {

@@ -23,6 +23,7 @@
 #include "sync/cache.hpp"
 #include "sync/spinlock.hpp"
 #include "transport/channel.hpp"
+#include "transport/rx_queue.hpp"
 
 namespace piom::transport {
 
@@ -98,7 +99,8 @@ class ShmemChannel final : public IChannel {
   /// own cache lines so the two sides never false-share; slot publication
   /// is ordered by the release store of `head` (push) / `tail` (pop).
   /// Producer side is serialized by the owner's tx lock, consumer side by
-  /// the peer's rx lock — the ring itself never takes a lock.
+  /// the consumer's RxQueue lock (drain_rx) — the ring itself never takes
+  /// a lock.
   struct Ring {
     explicit Ring(std::size_t slots);
     [[nodiscard]] bool try_push(Msg* m);  // producer only
@@ -111,19 +113,6 @@ class ShmemChannel final : public IChannel {
     alignas(sync::kCacheLine) std::atomic<uint64_t> tail{0};  // consumer
   };
 
-  struct RecvDesc {
-    void* buf = nullptr;
-    std::size_t cap = 0;
-    uint64_t wrid = 0;
-  };
-
-  /// An arrival consumed with no posted receive buffer: staged copy (the
-  /// sender's descriptor must be released promptly, so the zero-copy path
-  /// gives way to driver-style buffering — exactly like the NIC model).
-  struct StagedArrival {
-    std::vector<uint8_t> data;
-  };
-
   Msg* acquire_msg() PIOM_REQUIRES(tx_lock_);
   void release_msg(Msg* m) PIOM_REQUIRES(tx_lock_);
   /// Spill queue -> ring.
@@ -132,9 +121,12 @@ class ShmemChannel final : public IChannel {
   void pump_tx() PIOM_EXCLUDES(tx_lock_);
   /// Done descriptors -> tx cq.
   void retire_done_sends_locked() PIOM_REQUIRES(tx_lock_);
-  /// Consume every message currently in the inbound ring (deliver into
-  /// posted buffers or stage copies). Serialized by rx_lock_.
-  void drain_rx() PIOM_EXCLUDES(rx_lock_);
+  /// Consume every message currently in the inbound ring: copy it straight
+  /// from the sender's buffer into a posted buffer, or stage a copy so the
+  /// sender's descriptor can be released now. One hold of rx_.lock() covers
+  /// the whole drain; it is also the inbound ring's consumer-side
+  /// serialisation.
+  void drain_rx();
 
   const std::string name_;
   const ShmemConfig config_;
@@ -155,12 +147,7 @@ class ShmemChannel final : public IChannel {
   Msg* msg_free_ PIOM_GUARDED_BY(tx_lock_) = nullptr;
   std::vector<std::unique_ptr<Msg>> msg_storage_ PIOM_GUARDED_BY(tx_lock_);
 
-  // RX side.
-  mutable sync::SpinLock rx_lock_;
-  std::deque<RecvDesc> rx_descs_ PIOM_GUARDED_BY(rx_lock_);
-  std::deque<StagedArrival> staged_ PIOM_GUARDED_BY(rx_lock_);
-  std::deque<Completion> rx_cq_ PIOM_GUARDED_BY(rx_lock_);
-  std::atomic<std::size_t> rx_cq_size_{0};
+  RxQueue rx_;  ///< RX side (posted buffers, staging, recv completions)
 
   mutable sync::SpinLock stats_lock_;
   ChannelStats stats_ PIOM_GUARDED_BY(stats_lock_);

@@ -167,33 +167,8 @@ void TcpChannel::post_send(const void* buf, std::size_t len, uint64_t wrid) {
   flush_tx_locked();  // opportunistic: small frames leave immediately
 }
 
-void TcpChannel::drain_staged_locked() {
-  while (!staged_.empty() && !rx_descs_.empty()) {
-    std::vector<uint8_t> data = std::move(staged_.front());
-    staged_.pop_front();
-    const RecvDesc d = rx_descs_.front();
-    rx_descs_.pop_front();
-    const std::size_t n = data.size() < d.cap ? data.size() : d.cap;
-    if (n > 0) std::memcpy(d.buf, data.data(), n);
-    rx_cq_.push_back(Completion{Completion::Kind::kRecv, d.wrid, n, false});
-    rx_cq_size_.fetch_add(1, std::memory_order_release);
-  }
-}
-
 void TcpChannel::post_recv(void* buf, std::size_t cap, uint64_t wrid) {
-  sync::LockGuard<sync::SpinLock> g(rx_lock_);
-  if (!staged_.empty()) {
-    // A frame arrived before this buffer was posted: deliver the staged
-    // copy now (same late-post semantics as the NIC model and shmem).
-    std::vector<uint8_t> data = std::move(staged_.front());
-    staged_.pop_front();
-    const std::size_t n = data.size() < cap ? data.size() : cap;
-    if (n > 0) std::memcpy(buf, data.data(), n);
-    rx_cq_.push_back(Completion{Completion::Kind::kRecv, wrid, n, false});
-    rx_cq_size_.fetch_add(1, std::memory_order_release);
-    return;
-  }
-  rx_descs_.push_back(RecvDesc{buf, cap, wrid});
+  rx_.post(buf, cap, wrid);
 }
 
 void TcpChannel::post_rdma_read(void* local, const void* remote,
@@ -206,7 +181,7 @@ void TcpChannel::post_rdma_read(void* local, const void* remote,
   }
   const uint64_t req_id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
   {
-    sync::LockGuard<sync::SpinLock> g(rx_lock_);
+    sync::LockGuard<sync::SpinLock> g(rdma_lock_);
     pending_rdma_[req_id] = PendingRdma{local, len, wrid};
     pending_rdma_count_.fetch_add(1, std::memory_order_release);
   }
@@ -348,7 +323,7 @@ void TcpChannel::drain_disconnected() {
   // arrive, or would be NACKed anyway), then drain the send queue.
   std::vector<Completion> fails;
   {
-    sync::LockGuard<sync::SpinLock> g(rx_lock_);
+    sync::LockGuard<sync::SpinLock> g(rdma_lock_);
     for (const auto& entry : pending_rdma_) {
       fails.push_back(Completion{Completion::Kind::kRdmaRead,
                                  entry.second.wrid, 0, true});
@@ -398,13 +373,7 @@ bool TcpChannel::poll_rx(Completion& out) {
     // backlog (frames past the kernel buffer) reaches the wire.
     peer_->owner_.pump();
   }
-  if (rx_cq_size_.load(std::memory_order_acquire) == 0) return false;
-  sync::LockGuard<sync::SpinLock> g(rx_lock_);
-  if (rx_cq_.empty()) return false;
-  out = rx_cq_.front();
-  rx_cq_.pop_front();
-  rx_cq_size_.fetch_sub(1, std::memory_order_release);
-  return true;
+  return rx_.poll(out);
 }
 
 ChannelStats TcpChannel::stats() const {
@@ -439,13 +408,10 @@ bool TcpChannel::begin_frame_body() {
   switch (kind) {
     case FrameKind::kData: {
       if (rx_hdr_.len == 0) {
-        // Zero-byte message: complete right here, no body to read. Funnel
-        // through staged_ + drain so it cannot overtake an older staged
-        // arrival (or be overtaken by one).
+        // Zero-byte message: complete right here, no body to read. It
+        // queues behind any older staged arrival like every other one.
         if (!severed()) {
-          sync::LockGuard<sync::SpinLock> g(rx_lock_);
-          staged_.emplace_back();
-          drain_staged_locked();
+          rx_.deliver(nullptr, 0);
           sync::LockGuard<sync::SpinLock> s(stats_lock_);
           ++stats_.packets_rx;
         }
@@ -456,15 +422,10 @@ bool TcpChannel::begin_frame_body() {
         rx_stage_ = RxStage::kDataDiscard;
         return false;
       }
-      // Direct zero-copy delivery only when it cannot reorder: no older
-      // staged arrival ahead of this frame, and the descriptor is big
-      // enough. Otherwise the frame goes through staged_ and leaves via
-      // drain_staged_locked() in FIFO order (truncating like shmem does).
-      sync::LockGuard<sync::SpinLock> g(rx_lock_);
-      if (staged_.empty() && !rx_descs_.empty() &&
-          rx_descs_.front().cap >= rx_hdr_.len) {
-        rx_desc_ = rx_descs_.front();
-        rx_descs_.pop_front();
+      // Direct zero-copy delivery only when it cannot reorder or truncate
+      // (see RxQueue::take_direct); otherwise the body is read into a copy
+      // that RxQueue::deliver hands out in FIFO order.
+      if (rx_.take_direct(rx_hdr_.len, rx_desc_)) {
         rx_stage_ = RxStage::kDataDirect;
       } else {
         rx_staged_.assign(rx_hdr_.len, 0);
@@ -526,7 +487,7 @@ void TcpChannel::complete_rdma_resp_meta() {
   bool have_pending = false;
   PendingRdma pending{};
   {
-    sync::LockGuard<sync::SpinLock> g(rx_lock_);
+    sync::LockGuard<sync::SpinLock> g(rdma_lock_);
     const auto it = pending_rdma_.find(rx_resp_meta_.req_id);
     if (it != pending_rdma_.end()) {
       have_pending = true;
@@ -564,27 +525,17 @@ void TcpChannel::complete_rdma_resp_meta() {
 void TcpChannel::finish_frame() {
   switch (rx_stage_) {
     case RxStage::kDataDirect: {
-      {
-        sync::LockGuard<sync::SpinLock> g(rx_lock_);
-        rx_cq_.push_back(Completion{Completion::Kind::kRecv, rx_desc_.wrid,
-                                    rx_hdr_.len, false});
-        rx_cq_size_.fetch_add(1, std::memory_order_release);
-      }
+      rx_.complete(rx_desc_.wrid, rx_hdr_.len);
       sync::LockGuard<sync::SpinLock> s(stats_lock_);
       ++stats_.packets_rx;
       stats_.bytes_rx += rx_hdr_.len;
       break;
     }
     case RxStage::kDataStaged: {
-      {
-        // A descriptor may have been posted while this frame's body was
-        // still in flight (post_recv only drains *completed* staged
-        // arrivals): deliver now, or the next frame would go direct and
-        // overtake this one.
-        sync::LockGuard<sync::SpinLock> g(rx_lock_);
-        staged_.push_back(std::move(rx_staged_));
-        drain_staged_locked();
-      }
+      // A buffer may have been posted while this frame's body was still in
+      // flight: deliver() fills it now, or the next frame would go direct
+      // and overtake this one.
+      rx_.deliver(std::move(rx_staged_));
       rx_staged_ = std::vector<uint8_t>();
       sync::LockGuard<sync::SpinLock> s(stats_lock_);
       ++stats_.packets_rx;

@@ -39,6 +39,7 @@
 #include "sync/spinlock.hpp"
 #include "transport/channel.hpp"
 #include "transport/endpoint.hpp"
+#include "transport/rx_queue.hpp"
 
 namespace piom::transport {
 
@@ -146,12 +147,6 @@ class TcpChannel final : public IChannel {
     bool completes_send = false;  ///< kData: emit kSend when fully written
   };
 
-  struct RecvDesc {
-    void* buf = nullptr;
-    std::size_t cap = 0;
-    uint64_t wrid = 0;
-  };
-
   /// Outstanding RDMA read posted by this side, keyed by req_id.
   struct PendingRdma {
     void* local = nullptr;
@@ -188,11 +183,6 @@ class TcpChannel final : public IChannel {
   void drain_disconnected();
   void finish_frame();
   bool begin_frame_body();
-  /// Deliver staged arrivals into posted descriptors, oldest-first with
-  /// shmem's truncation semantics. rx_lock_ must be held. Every arrival
-  /// that cannot go direct funnels through staged_ and leaves through
-  /// here, so per-channel FIFO survives a descriptor posted mid-frame.
-  void drain_staged_locked() PIOM_REQUIRES(rx_lock_);
   void serve_rdma_request(const RdmaReqMeta& req);
   void complete_rdma_resp_meta();
 
@@ -206,8 +196,8 @@ class TcpChannel final : public IChannel {
   std::atomic<bool> dead_{false};
 
   // TX side: queued frames + send/rdma completions. The fd is only ever
-  // written under tx_lock_. Lock order: rx_lock_ may be taken before
-  // tx_lock_, never the other way around.
+  // written under tx_lock_. No other channel lock is held while taking it
+  // (stats_lock_ nests inside).
   mutable sync::SpinLock tx_lock_;
   std::deque<SendOp> txq_ PIOM_GUARDED_BY(tx_lock_);
   std::deque<Completion> tx_cq_ PIOM_GUARDED_BY(tx_lock_);
@@ -215,15 +205,16 @@ class TcpChannel final : public IChannel {
   std::atomic<std::size_t> tx_pending_{0};  ///< txq_.size()
   std::atomic<std::size_t> tx_data_backlog_{0};  ///< unsent kData frames
 
-  // RX side: posted buffers, staged arrivals, recv completions and this
-  // side's outstanding RDMA reads.
-  mutable sync::SpinLock rx_lock_;
-  std::deque<RecvDesc> rx_descs_ PIOM_GUARDED_BY(rx_lock_);
-  std::deque<std::vector<uint8_t>> staged_ PIOM_GUARDED_BY(rx_lock_);
-  std::deque<Completion> rx_cq_ PIOM_GUARDED_BY(rx_lock_);
-  std::atomic<std::size_t> rx_cq_size_{0};
+  // RX side: posted buffers, staged arrivals and recv completions. A data
+  // frame goes straight into a posted buffer only when RxQueue::take_direct
+  // hands one out; every other arrival funnels through RxQueue::deliver,
+  // so per-channel FIFO survives a buffer posted mid-frame.
+  RxQueue rx_;
+
+  // This side's outstanding RDMA reads (request and response handling).
+  sync::SpinLock rdma_lock_;
   std::unordered_map<uint64_t, PendingRdma> pending_rdma_
-      PIOM_GUARDED_BY(rx_lock_);
+      PIOM_GUARDED_BY(rdma_lock_);
   std::atomic<std::size_t> pending_rdma_count_{0};
   std::atomic<uint64_t> next_req_id_{1};
 
@@ -233,7 +224,7 @@ class TcpChannel final : public IChannel {
   std::size_t rx_scratch_got_ = 0;
   FrameHeader rx_hdr_{};
   std::size_t rx_body_got_ = 0;
-  RecvDesc rx_desc_{};              ///< kDataDirect target
+  RxQueue::Desc rx_desc_{};         ///< kDataDirect target
   std::vector<uint8_t> rx_staged_;  ///< kDataStaged accumulator
   RdmaRespMeta rx_resp_meta_{};
   PendingRdma rx_resp_dst_{};       ///< kRdmaRespBody target

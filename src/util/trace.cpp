@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <utility>
 
 #include "util/env.hpp"
 #include "util/timing.hpp"
@@ -110,31 +111,36 @@ void record(Kind kind, uint32_t arg0, uint64_t arg1) {
 }
 
 std::vector<Event> collect() {
-  std::vector<Event> out;
+  // Snapshot the registry under the lock, copy the slots after releasing
+  // it: rings are immortal, and a thread registering its ring (its first
+  // record()) must not wait out the copy.
+  std::vector<std::pair<const Ring*, uint64_t>> snapshot;
   {
     std::lock_guard<std::mutex> lk(g_registry_mutex);
-    for (Ring* ring : rings()) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t lo = std::max(
-          ring->floor, head - std::min<uint64_t>(head, kRingCapacity));
-      const std::size_t first = out.size();
-      for (uint64_t i = lo; i < head; ++i) {
-        const Ring::Slot& s = ring->slots[i % kSlots];
-        out.push_back(Event{s.t_ns.load(std::memory_order_acquire),
-                            ring->ordinal,
-                            s.kind.load(std::memory_order_acquire),
-                            s.arg0.load(std::memory_order_acquire),
-                            s.arg1.load(std::memory_order_acquire)});
-      }
-      // Drop the copies the writer may have lapped meanwhile: it may be
-      // writing event `h` over the slot of event `h - kSlots`, and the
-      // slots of older events are already reused.
-      const uint64_t h = ring->head.load(std::memory_order_relaxed);
-      const uint64_t whole = std::max(lo, h + 1 - std::min(h + 1, kSlots));
-      const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
-      out.erase(begin, begin + static_cast<std::ptrdiff_t>(
-                                   std::min(whole, head) - lo));
+    for (const Ring* ring : rings()) snapshot.emplace_back(ring, ring->floor);
+  }
+  std::vector<Event> out;
+  for (const auto& [ring, mark] : snapshot) {
+    const uint64_t head = ring->head.load(std::memory_order_acquire);
+    const uint64_t lo =
+        std::max(mark, head - std::min<uint64_t>(head, kRingCapacity));
+    const std::size_t first = out.size();
+    for (uint64_t i = lo; i < head; ++i) {
+      const Ring::Slot& s = ring->slots[i % kSlots];
+      out.push_back(Event{s.t_ns.load(std::memory_order_acquire),
+                          ring->ordinal,
+                          s.kind.load(std::memory_order_acquire),
+                          s.arg0.load(std::memory_order_acquire),
+                          s.arg1.load(std::memory_order_acquire)});
     }
+    // Drop the copies the writer may have lapped meanwhile: it may be
+    // writing event `h` over the slot of event `h - kSlots`, and the slots
+    // of older events are already reused.
+    const uint64_t h = ring->head.load(std::memory_order_relaxed);
+    const uint64_t whole = std::max(lo, h + 1 - std::min(h + 1, kSlots));
+    const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
+    out.erase(begin, begin + static_cast<std::ptrdiff_t>(
+                                 std::min(whole, head) - lo));
   }
   std::sort(out.begin(), out.end(),
             [](const Event& a, const Event& b) { return a.t_ns < b.t_ns; });

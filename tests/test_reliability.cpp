@@ -65,7 +65,7 @@ TEST(FaultInjection, DropsAreObservableAtNicLevel) {
   link.drop_rate = 0.5;
   auto [a, b] = cluster.create_sim_link("half", link);
   char rx[16];
-  simnet::Completion c;
+  transport::Completion c;
   constexpr int kSends = 200;
   for (int i = 0; i < kSends; ++i) b->post_recv(rx, sizeof(rx), 1);
   for (int i = 0; i < kSends; ++i) a->post_send("x", 2, 2);

@@ -1,12 +1,13 @@
-// Tests for the simulated fabric: message delivery, FIFO matching, staging
-// of unexpected arrivals, RDMA-Read zero-host-CPU semantics, cost model.
+// Tests for the simulated fabric: RDMA-Read zero-host-CPU semantics, the
+// timestamped wire and its cost model, drops, mesh wiring. The receive
+// contract every backend shares (FIFO matching, staging, truncation) is
+// tests/test_transport.cpp's channel conformance suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -17,6 +18,8 @@
 
 namespace piom::simnet {
 namespace {
+
+using transport::Completion;
 
 /// Spin until a TX/RX completion shows up (bounded).
 template <typename PollFn>
@@ -39,69 +42,6 @@ class SimnetTest : public ::testing::Test {
   Nic* a_ = nullptr;
   Nic* b_ = nullptr;
 };
-
-TEST_F(SimnetTest, SendMatchesPostedRecv) {
-  const char msg[] = "hello fabric";
-  char rxbuf[64] = {};
-  b_->post_recv(rxbuf, sizeof(rxbuf), 42);
-  a_->post_send(msg, sizeof(msg), 7);
-
-  Completion tx{}, rx{};
-  ASSERT_TRUE(poll_until([&](Completion& c) { return a_->poll_tx(c); }, tx));
-  EXPECT_EQ(tx.kind, Completion::Kind::kSend);
-  EXPECT_EQ(tx.wrid, 7u);
-  EXPECT_EQ(tx.bytes, sizeof(msg));
-
-  ASSERT_TRUE(poll_until([&](Completion& c) { return b_->poll_rx(c); }, rx));
-  EXPECT_EQ(rx.kind, Completion::Kind::kRecv);
-  EXPECT_EQ(rx.wrid, 42u);
-  EXPECT_EQ(rx.bytes, sizeof(msg));
-  EXPECT_STREQ(rxbuf, "hello fabric");
-}
-
-TEST_F(SimnetTest, UnexpectedArrivalIsStagedUntilRecvPosted) {
-  const char msg[] = "early bird";
-  a_->post_send(msg, sizeof(msg), 1);
-  Completion tx{};
-  ASSERT_TRUE(poll_until([&](Completion& c) { return a_->poll_tx(c); }, tx));
-  // The message has fully arrived; nobody posted a buffer. Post now:
-  char rxbuf[64] = {};
-  b_->post_recv(rxbuf, sizeof(rxbuf), 9);
-  Completion rx{};
-  ASSERT_TRUE(poll_until([&](Completion& c) { return b_->poll_rx(c); }, rx));
-  EXPECT_EQ(rx.wrid, 9u);
-  EXPECT_STREQ(rxbuf, "early bird");
-}
-
-TEST_F(SimnetTest, FifoMatchingAcrossSeveralMessages) {
-  std::vector<std::array<char, 16>> rxbufs(4);
-  for (int i = 0; i < 4; ++i) {
-    b_->post_recv(rxbufs[static_cast<std::size_t>(i)].data(), 16,
-                  static_cast<uint64_t>(100 + i));
-  }
-  const char* msgs[] = {"m0", "m1", "m2", "m3"};
-  for (int i = 0; i < 4; ++i) {
-    a_->post_send(msgs[i], 3, static_cast<uint64_t>(i));
-  }
-  for (int i = 0; i < 4; ++i) {
-    Completion rx{};
-    ASSERT_TRUE(poll_until([&](Completion& c) { return b_->poll_rx(c); }, rx));
-    // FIFO: arrival i lands in buffer i.
-    EXPECT_EQ(rx.wrid, static_cast<uint64_t>(100 + i));
-    EXPECT_STREQ(rxbufs[static_cast<std::size_t>(i)].data(), msgs[i]);
-  }
-}
-
-TEST_F(SimnetTest, TruncationToRecvCapacity) {
-  const char msg[] = "0123456789";
-  char small[4] = {};
-  b_->post_recv(small, sizeof(small), 5);
-  a_->post_send(msg, sizeof(msg), 6);
-  Completion rx{};
-  ASSERT_TRUE(poll_until([&](Completion& c) { return b_->poll_rx(c); }, rx));
-  EXPECT_EQ(rx.bytes, sizeof(small));
-  EXPECT_EQ(std::memcmp(small, "0123", 4), 0);
-}
 
 TEST_F(SimnetTest, RdmaReadPullsRemoteMemoryWithoutHostCode) {
   // Host code on side A never runs anything after exposing the buffer: the
@@ -168,24 +108,25 @@ TEST(SimnetMesh, FullMeshWiresEveryPairWithEveryRail) {
   cc.time_scale = 0.05;
   transport::Cluster cluster(cc);
   constexpr int kNodes = 4, kRails = 2;
-  const transport::Cluster::MeshWiring mesh =
-      cluster.create_full_mesh(kNodes, kRails);
+  cluster.init_lazy_mesh(kNodes, kRails);
+  for (int i = 0; i < kNodes; ++i) {
+    for (int j = 0; j < kNodes; ++j) {
+      if (i != j) static_cast<void>(cluster.pair_rails(i, j));
+    }
+  }
   // nodes*(nodes-1)/2 pairs, kRails links each, two NICs per link.
   EXPECT_EQ(cluster.fabric().nic_count(),
             static_cast<std::size_t>(kNodes * (kNodes - 1) * kRails));
   for (int i = 0; i < kNodes; ++i) {
-    EXPECT_TRUE(mesh[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)]
-                    .empty());
+    EXPECT_THROW(static_cast<void>(cluster.pair_rails(i, i)),
+                 std::invalid_argument);  // no rail towards oneself
     for (int j = 0; j < kNodes; ++j) {
       if (i == j) continue;
-      const auto& rails =
-          mesh[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+      const auto& rails = cluster.pair_rails(i, j);
       ASSERT_EQ(rails.size(), static_cast<std::size_t>(kRails));
-      for (int r = 0; r < kRails; ++r) {
+      for (std::size_t r = 0; r < rails.size(); ++r) {
         // Rail k of i->j is the back-to-back peer of rail k of j->i.
-        EXPECT_EQ(rails[static_cast<std::size_t>(r)]->peer(),
-                  mesh[static_cast<std::size_t>(j)]
-                      [static_cast<std::size_t>(i)][static_cast<std::size_t>(r)]);
+        EXPECT_EQ(rails[r]->peer(), cluster.pair_rails(j, i)[r]);
       }
     }
   }
@@ -195,25 +136,19 @@ TEST(SimnetMesh, MeshLinksCarryTraffic) {
   transport::ClusterConfig cc;
   cc.time_scale = 0.05;
   transport::Cluster cluster(cc);
-  const transport::Cluster::MeshWiring mesh = cluster.create_full_mesh(3, 1);
+  cluster.init_lazy_mesh(3, 1);
   // Push one message across every directed pair and check delivery.
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
       if (i == j) continue;
       const uint8_t msg = static_cast<uint8_t>(0x40 + i * 3 + j);
       uint8_t rx = 0;
-      mesh[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)][0]
-          ->post_recv(&rx, 1, 1);
-      mesh[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)][0]
-          ->post_send(&msg, 1, 2);
+      transport::IChannel* dst = cluster.pair_rails(j, i)[0];
+      dst->post_recv(&rx, 1, 1);
+      cluster.pair_rails(i, j)[0]->post_send(&msg, 1, 2);
       Completion c{};
-      ASSERT_TRUE(poll_until(
-          [&](Completion& out) {
-            return mesh[static_cast<std::size_t>(j)]
-                       [static_cast<std::size_t>(i)][0]
-                           ->poll_rx(out);
-          },
-          c));
+      ASSERT_TRUE(
+          poll_until([&](Completion& out) { return dst->poll_rx(out); }, c));
       EXPECT_EQ(rx, msg);
     }
   }
@@ -223,13 +158,11 @@ TEST(SimnetMesh, RejectsDegenerateShapes) {
   transport::ClusterConfig cc;
   cc.time_scale = 0.05;
   transport::Cluster cluster(cc);
-  EXPECT_THROW(static_cast<void>(cluster.create_full_mesh(1, 1)),
-               std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(cluster.create_full_mesh(0, 1)),
-               std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(cluster.create_full_mesh(2, 0)),
-               std::invalid_argument);
+  EXPECT_THROW(cluster.init_lazy_mesh(1, 1), std::invalid_argument);
+  EXPECT_THROW(cluster.init_lazy_mesh(0, 1), std::invalid_argument);
+  EXPECT_THROW(cluster.init_lazy_mesh(2, 0), std::invalid_argument);
   // failed meshes create nothing
+  EXPECT_EQ(cluster.lazy_nodes(), 0);
   EXPECT_EQ(cluster.fabric().nic_count(), 0u);
 }
 

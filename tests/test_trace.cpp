@@ -7,6 +7,7 @@
 
 #include "core/task_manager.hpp"
 #include "topo/machine.hpp"
+#include "util/timing.hpp"
 #include "util/trace.hpp"
 
 namespace piom::util::trace {
@@ -156,18 +157,19 @@ TEST_F(TraceTest, CollectAndResetRaceWithRecording) {
       written.store(i, std::memory_order_relaxed);
     }
   });
-  // The writer's first record registers its ring under the lock collect()
-  // holds; let it in before hammering collect().
-  while (written.load(std::memory_order_relaxed) == 0) {
-    std::this_thread::yield();
-  }
   std::size_t collected = 0;
   std::size_t torn = 0;
   std::size_t unsorted = 0;
   std::size_t gaps = 0;
-  // Keep racing until the writer has wrapped its ring several times.
-  for (int round = 0; round < 300 || written.load(std::memory_order_relaxed) <
-                                         8 * kRingCapacity;
+  // Keep racing until the writer has wrapped its ring several times and
+  // collect() has caught it mid-stream at least once. A loaded host may
+  // start the writer only after hundreds of rounds, or run the two threads
+  // in turns, so that is bounded by a deadline, not by a round count.
+  const int64_t deadline = util::now_ns() + 20'000'000'000;
+  for (int round = 0;
+       (round < 300 || collected == 0 ||
+        written.load(std::memory_order_relaxed) < 8 * kRingCapacity) &&
+       util::now_ns() < deadline;
        ++round) {
     const auto events = collect();
     collected += events.size();

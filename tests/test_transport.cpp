@@ -1,13 +1,18 @@
-// Transport-backend tests: the shmem channel's ring/backpressure/completion
-// protocol, the ITransport factory faces, BackendPolicy validation, and
-// mixed-backend (hybrid) gates — eager on the fast rail, bulk striped
+// Transport-backend tests: the receive/send contract every channel backend
+// shares (one conformance suite over simnet, shmem, uds and tcp pairs),
+// then what only one backend does — the shmem ring's backpressure and
+// completion protocol, socket backpressure and RDMA frames — the
+// ITransport factory faces, BackendPolicy validation, mesh wiring, and
+// mixed-backend (hybrid) gates: eager on the fast rail, bulk striped
 // across heterogeneous rails.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "nmad/request.hpp"
@@ -30,71 +35,237 @@ TEST(BackendNames, AreStable) {
   EXPECT_STREQ(pair_wiring_name(PairWiring::kHybrid), "hybrid");
 }
 
-TEST(ShmemChannel, BasicSendRecvRoundTrip) {
-  ShmemTransport transport;
-  auto [a, b] = transport.create_channel_pair("pair");
-  EXPECT_EQ(a->backend(), Backend::kShmem);
-  EXPECT_EQ(a->peer(), b);
-  EXPECT_EQ(b->peer(), a);
-  EXPECT_EQ(a->name(), "pair.a");
+/// Spin until a completion shows up (bounded: every backend but shmem
+/// completes asynchronously).
+template <typename PollFn>
+bool poll_until(PollFn&& poll, Completion& out,
+                int64_t timeout_ns = 10'000'000'000) {
+  const int64_t deadline = util::now_ns() + timeout_ns;
+  while (util::now_ns() < deadline) {
+    if (poll(out)) return true;
+  }
+  return false;
+}
+
+// ------------------------------------------------- channel conformance
+//
+// The IChannel contract, once per backend: FIFO matching of posted
+// buffers, staging of early arrivals, truncation, quiesce and sever.
+
+enum class PairKind { kSimnet, kShmem, kUds, kTcp };
+
+std::string pair_kind_name(const ::testing::TestParamInfo<PairKind>& info) {
+  switch (info.param) {
+    case PairKind::kSimnet: return "simnet";
+    case PairKind::kShmem: return "shmem";
+    case PairKind::kUds: return "uds";
+    case PairKind::kTcp: return "tcp";
+  }
+  return "unknown";
+}
+
+ClusterConfig fast_cluster() {
+  ClusterConfig cc;
+  cc.time_scale = 0.05;  // compress the NIC model's wire time
+  return cc;
+}
+
+class ChannelConformance : public ::testing::TestWithParam<PairKind> {
+ protected:
+  ChannelConformance() : cluster_(fast_cluster()) {
+    switch (GetParam()) {
+      case PairKind::kSimnet:
+        std::tie(a_, b_) = cluster_.create_pair(Backend::kSimnet, "pair");
+        break;
+      case PairKind::kShmem:
+        std::tie(a_, b_) = cluster_.create_pair(Backend::kShmem, "pair");
+        break;
+      case PairKind::kUds:
+        std::tie(a_, b_) = cluster_.create_pair(Backend::kTcp, "pair");
+        break;
+      case PairKind::kTcp:
+        std::tie(a_, b_) = TcpTransport::create_loopback_pair(
+            cluster_.tcp_node(0), cluster_.tcp_node(1), "pair",
+            Endpoint::Scheme::kTcp);
+        break;
+    }
+  }
+
+  bool poll_rx(IChannel* ch, Completion& out) {
+    return poll_until([ch](Completion& o) { return ch->poll_rx(o); }, out);
+  }
+  bool poll_tx(IChannel* ch, Completion& out) {
+    return poll_until([ch](Completion& o) { return ch->poll_tx(o); }, out);
+  }
+
+  Cluster cluster_;
+  IChannel* a_ = nullptr;
+  IChannel* b_ = nullptr;
+};
+
+TEST_P(ChannelConformance, RoundTripCountsStats) {
+  const Backend backend = GetParam() == PairKind::kSimnet ? Backend::kSimnet
+                          : GetParam() == PairKind::kShmem ? Backend::kShmem
+                                                           : Backend::kTcp;
+  EXPECT_EQ(a_->backend(), backend);
+  EXPECT_EQ(b_->backend(), backend);
+  EXPECT_EQ(a_->peer(), b_);
+  EXPECT_EQ(b_->peer(), a_);
+  EXPECT_TRUE(a_->connected());
+  EXPECT_EQ(a_->name(), "pair.a");
+  EXPECT_EQ(b_->name(), "pair.b");
 
   char rx[16] = {};
-  b->post_recv(rx, sizeof(rx), 7);
-  a->post_send("hello", 6, 9);
+  b_->post_recv(rx, sizeof(rx), 7);
+  a_->post_send("hello", 6, 9);
 
   Completion c{};
-  ASSERT_TRUE(b->poll_rx(c));
+  ASSERT_TRUE(poll_rx(b_, c));
   EXPECT_EQ(c.kind, Completion::Kind::kRecv);
   EXPECT_EQ(c.wrid, 7u);
   EXPECT_EQ(c.bytes, 6u);
   EXPECT_STREQ(rx, "hello");
 
-  ASSERT_TRUE(a->poll_tx(c));
+  ASSERT_TRUE(poll_tx(a_, c));
   EXPECT_EQ(c.kind, Completion::Kind::kSend);
   EXPECT_EQ(c.wrid, 9u);
+  EXPECT_EQ(c.bytes, 6u);
+  EXPECT_FALSE(c.failed);
 
-  EXPECT_EQ(a->stats().packets_tx, 1u);
-  EXPECT_EQ(a->stats().bytes_tx, 6u);
-  EXPECT_EQ(b->stats().packets_rx, 1u);
-  EXPECT_EQ(b->stats().bytes_rx, 6u);
+  EXPECT_EQ(a_->stats().packets_tx, 1u);
+  EXPECT_EQ(a_->stats().bytes_tx, 6u);
+  EXPECT_EQ(b_->stats().packets_rx, 1u);
+  EXPECT_EQ(b_->stats().bytes_rx, 6u);
 }
 
-TEST(ShmemChannel, ZeroAndOneByteMessages) {
-  ShmemTransport transport;
-  auto [a, b] = transport.create_channel_pair("tiny");
+TEST_P(ChannelConformance, ZeroAndOneByteMessages) {
   char rx0 = 'x', rx1 = 0;
-  b->post_recv(&rx0, 1, 1);
-  b->post_recv(&rx1, 1, 2);
-  a->post_send(nullptr, 0, 10);  // zero-byte: no payload to read at all
+  b_->post_recv(&rx0, 1, 1);
+  b_->post_recv(&rx1, 1, 2);
+  a_->post_send(nullptr, 0, 10);  // zero-byte: no payload to read at all
   const char one = 'Z';
-  a->post_send(&one, 1, 11);
+  a_->post_send(&one, 1, 11);
 
   Completion c{};
-  ASSERT_TRUE(b->poll_rx(c));
+  ASSERT_TRUE(poll_rx(b_, c));
+  EXPECT_EQ(c.wrid, 1u);
   EXPECT_EQ(c.bytes, 0u);
   EXPECT_EQ(rx0, 'x');  // untouched
-  ASSERT_TRUE(b->poll_rx(c));
+  ASSERT_TRUE(poll_rx(b_, c));
+  EXPECT_EQ(c.wrid, 2u);
   EXPECT_EQ(c.bytes, 1u);
   EXPECT_EQ(rx1, 'Z');
-  ASSERT_TRUE(a->poll_tx(c));
-  ASSERT_TRUE(a->poll_tx(c));
-  EXPECT_FALSE(a->poll_tx(c));
+  ASSERT_TRUE(poll_tx(a_, c));
+  ASSERT_TRUE(poll_tx(a_, c));
+  EXPECT_FALSE(a_->poll_tx(c));
 }
 
-TEST(ShmemChannel, StagedArrivalDeliveredToLatePostedBuffer) {
-  ShmemTransport transport;
-  auto [a, b] = transport.create_channel_pair("late");
+TEST_P(ChannelConformance, StagedArrivalDeliveredToLatePostedBuffer) {
   const char payload[] = "buffered";
-  a->post_send(payload, sizeof(payload), 1);
-  // Sender completes without the receiver ever posting: the arrival is
-  // staged (driver-style copy), releasing the descriptor.
+  a_->post_send(payload, sizeof(payload), 1);
+  // The send completes although the receiver never posted: the arrival is
+  // held driver-side until a buffer shows up.
   Completion c{};
-  ASSERT_TRUE(a->poll_tx(c));
+  ASSERT_TRUE(poll_tx(a_, c));
   char rx[16] = {};
-  b->post_recv(rx, sizeof(rx), 2);
-  ASSERT_TRUE(b->poll_rx(c));
+  b_->post_recv(rx, sizeof(rx), 2);
+  ASSERT_TRUE(poll_rx(b_, c));
+  EXPECT_EQ(c.wrid, 2u);
+  EXPECT_EQ(c.bytes, sizeof(payload));
   EXPECT_STREQ(rx, "buffered");
 }
+
+TEST_P(ChannelConformance, UndersizedHeadTruncatesAndKeepsFifo) {
+  // The first message overflows the first buffer: it is truncated into it,
+  // and the second message — which would fit the first buffer — must not
+  // overtake it.
+  char small[4] = {};
+  char roomy[16] = {};
+  b_->post_recv(small, sizeof(small), 1);
+  b_->post_recv(roomy, sizeof(roomy), 2);
+  const char m1[] = "first-message!";  // 15 bytes: overflows `small`
+  const char m2[] = "2nd";             // 4 bytes: would fit `small`
+  a_->post_send(m1, sizeof(m1), 11);
+  a_->post_send(m2, sizeof(m2), 12);
+
+  Completion c{};
+  ASSERT_TRUE(poll_rx(b_, c));
+  EXPECT_EQ(c.wrid, 1u);
+  EXPECT_EQ(c.bytes, sizeof(small));
+  EXPECT_EQ(std::memcmp(small, m1, sizeof(small)), 0);
+  ASSERT_TRUE(poll_rx(b_, c));
+  EXPECT_EQ(c.wrid, 2u);
+  EXPECT_EQ(c.bytes, sizeof(m2));
+  EXPECT_STREQ(roomy, "2nd");
+  a_->quiesce();
+}
+
+TEST_P(ChannelConformance, SeveralMessagesMatchPostedBuffersInFifoOrder) {
+  std::array<std::array<char, 16>, 4> rxbufs{};
+  for (int i = 0; i < 4; ++i) {
+    b_->post_recv(rxbufs[static_cast<std::size_t>(i)].data(), 16,
+                  static_cast<uint64_t>(100 + i));
+  }
+  const char* msgs[] = {"m0", "m1", "m2", "m3"};
+  for (int i = 0; i < 4; ++i) {
+    a_->post_send(msgs[i], 3, static_cast<uint64_t>(i));
+  }
+  for (int i = 0; i < 4; ++i) {
+    Completion c{};
+    ASSERT_TRUE(poll_rx(b_, c));
+    EXPECT_EQ(c.wrid, static_cast<uint64_t>(100 + i));  // arrival i -> buffer i
+    EXPECT_STREQ(rxbufs[static_cast<std::size_t>(i)].data(), msgs[i]);
+  }
+  a_->quiesce();
+}
+
+TEST_P(ChannelConformance, QuiesceSettlesBothDirections) {
+  const char ping[] = "ping", pong[] = "pong";
+  a_->post_send(ping, sizeof(ping), 1);
+  b_->post_send(pong, sizeof(pong), 2);
+  a_->quiesce();
+  b_->quiesce();
+  // Nothing in flight afterwards; completions are still pollable.
+  EXPECT_EQ(a_->tx_backlog(), 0u);
+  EXPECT_EQ(b_->tx_backlog(), 0u);
+  Completion c{};
+  EXPECT_TRUE(a_->poll_tx(c));
+  EXPECT_TRUE(b_->poll_tx(c));
+}
+
+TEST_P(ChannelConformance, SeveredEndpointDropsDataButFailsRdma) {
+  a_->sever();
+  EXPECT_TRUE(a_->severed());
+  EXPECT_FALSE(b_->severed());
+  // Drop model: sends complete unfailed, counted as dropped, and nothing
+  // reaches the peer ("sent" never means "delivered").
+  char rx[8] = {};
+  b_->post_recv(rx, sizeof(rx), 3);
+  a_->post_send("lost", 5, 1);
+  Completion c{};
+  ASSERT_TRUE(poll_tx(a_, c));
+  EXPECT_EQ(c.kind, Completion::Kind::kSend);
+  EXPECT_FALSE(c.failed);
+  EXPECT_EQ(a_->stats().packets_dropped, 1u);
+  a_->quiesce();
+  EXPECT_FALSE(b_->poll_rx(c));
+  EXPECT_EQ(rx[0], 0);
+  // RDMA reads are the failure-visible path: no data can come back.
+  uint8_t byte = 0;
+  a_->post_rdma_read(&byte, &byte, 1, 2);
+  ASSERT_TRUE(poll_tx(a_, c));
+  EXPECT_EQ(c.kind, Completion::Kind::kRdmaRead);
+  EXPECT_EQ(c.wrid, 2u);
+  EXPECT_TRUE(c.failed);
+  a_->quiesce();  // must not hang on a dead endpoint
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ChannelConformance,
+                         ::testing::Values(PairKind::kSimnet, PairKind::kShmem,
+                                           PairKind::kUds, PairKind::kTcp),
+                         pair_kind_name);
+
+// ---------------------------------------------------------- shmem channel
 
 TEST(ShmemChannel, SendCompletesWithoutReceiverHostPolling) {
   // The DMA property caller-driven engines rely on: only the *sender*
@@ -108,6 +279,8 @@ TEST(ShmemChannel, SendCompletesWithoutReceiverHostPolling) {
   ASSERT_TRUE(a->poll_tx(c));  // no b->poll_rx() before this
   EXPECT_EQ(c.wrid, 6u);
   EXPECT_STREQ(rx, "ping");  // already landed in the posted buffer
+  ASSERT_TRUE(b->poll_rx(c));  // and its completion waits on the first poll
+  EXPECT_EQ(c.wrid, 5u);
 }
 
 TEST(ShmemChannel, RingFullBackpressuresWithoutDeadlock) {
@@ -159,21 +332,6 @@ TEST(ShmemChannel, RdmaReadIsDirectAndCounted) {
   EXPECT_EQ(c.bytes, local.size());
   EXPECT_EQ(local, remote);
   EXPECT_EQ(b->stats().rdma_reads_served, 1u);
-}
-
-TEST(ShmemChannel, QuiesceSettlesBothDirections) {
-  ShmemTransport transport;
-  auto [a, b] = transport.create_channel_pair("quiet");
-  const char ping[] = "ping", pong[] = "pong";
-  a->post_send(ping, sizeof(ping), 1);
-  b->post_send(pong, sizeof(pong), 2);
-  a->quiesce();
-  b->quiesce();
-  // Nothing in flight afterwards; completions are still pollable.
-  EXPECT_EQ(a->tx_backlog(), 0u);
-  Completion c{};
-  EXPECT_TRUE(a->poll_tx(c));
-  EXPECT_TRUE(b->poll_tx(c));
 }
 
 TEST(ShmemChannel, ReportsFastRailProperties) {
@@ -283,14 +441,30 @@ TEST(BackendPolicy, FromEnvResolvesBackends) {
 
 // ------------------------------------------------------------- mixed mesh
 
+/// Wire every pair of `cluster`'s lazy mesh: mesh[i][j] = pair_rails(i, j)
+/// (mesh[i][i] stays empty).
+std::vector<std::vector<std::vector<IChannel*>>> wire_every_pair(
+    Cluster& cluster) {
+  const auto n = static_cast<std::size_t>(cluster.lazy_nodes());
+  std::vector<std::vector<std::vector<IChannel*>>> mesh(
+      n, std::vector<std::vector<IChannel*>>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) {
+        mesh[i][j] =
+            cluster.pair_rails(static_cast<int>(i), static_cast<int>(j));
+      }
+    }
+  }
+  return mesh;
+}
+
 TEST(ClusterMesh, PolicyWiresShmemIntraNodeAndNicsAcross) {
-  ClusterConfig cc;
-  cc.time_scale = 0.05;
-  Cluster cluster(cc);
+  Cluster cluster(fast_cluster());
   BackendPolicy policy;
   policy.node_of = {0, 0, 1, 1};
-  const Cluster::MeshWiring mesh =
-      cluster.create_full_mesh(4, 1, {}, "mix", policy);
+  cluster.init_lazy_mesh(4, 1, {}, "mix", policy);
+  const auto mesh = wire_every_pair(cluster);
   // Same-node pairs: one shmem rail. Cross-node pairs: one NIC rail.
   ASSERT_EQ(mesh[0][1].size(), 1u);
   EXPECT_EQ(mesh[0][1][0]->backend(), Backend::kShmem);
@@ -315,20 +489,22 @@ TEST(ClusterMesh, PolicyWiresShmemIntraNodeAndNicsAcross) {
                     [0]);
     }
   }
+  // Naming: "<prefix>.<i>-<j>.<rail>.{a,b}", a = the lower rank's side.
+  EXPECT_EQ(mesh[0][1][0]->name(), "mix.0-1.shm.a");
+  EXPECT_EQ(mesh[1][0][0]->name(), "mix.0-1.shm.b");
+  EXPECT_EQ(mesh[3][0][0]->name(), "mix.0-3.r0.b");
   // 4 cross-node pairs x 1 rail x 2 NICs; 2 same-node pairs x 2 endpoints.
   EXPECT_EQ(cluster.fabric().nic_count(), 8u);
   EXPECT_EQ(cluster.shmem().channel_count(), 4u);
 }
 
 TEST(ClusterMesh, HybridPairsPutTheFastRailFirst) {
-  ClusterConfig cc;
-  cc.time_scale = 0.05;
-  Cluster cluster(cc);
+  Cluster cluster(fast_cluster());
   BackendPolicy policy;
   policy.node_of = {0, 0};
   policy.intra = PairWiring::kHybrid;
-  const Cluster::MeshWiring mesh =
-      cluster.create_full_mesh(2, 2, {}, "hyb", policy);
+  cluster.init_lazy_mesh(2, 2, {}, "hyb", policy);
+  const auto mesh = wire_every_pair(cluster);
   ASSERT_EQ(mesh[0][1].size(), 3u);  // shmem + 2 NIC rails
   EXPECT_EQ(mesh[0][1][0]->backend(), Backend::kShmem);
   EXPECT_EQ(mesh[0][1][1]->backend(), Backend::kSimnet);
@@ -339,12 +515,13 @@ TEST(ClusterMesh, HybridPairsPutTheFastRailFirst) {
 }
 
 TEST(ClusterMesh, RejectsMalformedPolicyBeforeWiringAnything) {
-  ClusterConfig cc;
-  cc.time_scale = 0.05;
-  Cluster cluster(cc);
+  Cluster cluster(fast_cluster());
   BackendPolicy bad;
   bad.node_of = {0};  // wrong size for a 3-node mesh
-  EXPECT_THROW(static_cast<void>(cluster.create_full_mesh(3, 1, {}, "m", bad)),
+  EXPECT_THROW(cluster.init_lazy_mesh(3, 1, {}, "m", bad),
+               std::invalid_argument);
+  EXPECT_EQ(cluster.lazy_nodes(), 0);  // no mesh declared: no pair to wire
+  EXPECT_THROW(static_cast<void>(cluster.pair_rails(0, 1)),
                std::invalid_argument);
   EXPECT_EQ(cluster.fabric().nic_count(), 0u);
   EXPECT_EQ(cluster.shmem().channel_count(), 0u);
@@ -412,20 +589,9 @@ TEST(HybridGate, EagerRidesShmemBulkStripesAcrossBothRails) {
 
 // ------------------------------------------------------------ tcp channel
 //
-// The socket backend mirrors the shmem contract over real nonblocking
-// sockets: everything below is the shmem suite's shape with asynchronous
-// completion (a pump must run; poll_tx/poll_rx drive it).
-
-/// Spin until a completion shows up (bounded: sockets are asynchronous).
-template <typename PollFn>
-bool poll_until(PollFn&& poll, Completion& out,
-                int64_t timeout_ns = 10'000'000'000) {
-  const int64_t deadline = util::now_ns() + timeout_ns;
-  while (util::now_ns() < deadline) {
-    if (poll(out)) return true;
-  }
-  return false;
-}
+// What only the socket backend does: kernel-buffer backpressure and RDMA
+// over request/response frames (asynchronous completion — a pump must
+// run; poll_tx/poll_rx drive it).
 
 /// A connected loopback pair on two independent transports (two pumps —
 /// the honest two-rank shape), over the requested socket scheme.
@@ -442,107 +608,6 @@ struct TcpPair {
     b = y;
   }
 };
-
-TEST(TcpChannel, BasicSendRecvRoundTrip) {
-  TcpPair p;
-  EXPECT_EQ(p.a->backend(), Backend::kTcp);
-  EXPECT_EQ(p.a->peer(), p.b);
-  EXPECT_EQ(p.b->peer(), p.a);
-  EXPECT_TRUE(p.a->connected());
-
-  char rx[16] = {};
-  p.b->post_recv(rx, sizeof(rx), 7);
-  p.a->post_send("hello", 6, 9);
-
-  Completion c{};
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.b->poll_rx(o); }, c));
-  EXPECT_EQ(c.kind, Completion::Kind::kRecv);
-  EXPECT_EQ(c.wrid, 7u);
-  EXPECT_EQ(c.bytes, 6u);
-  EXPECT_STREQ(rx, "hello");
-
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.a->poll_tx(o); }, c));
-  EXPECT_EQ(c.kind, Completion::Kind::kSend);
-  EXPECT_EQ(c.wrid, 9u);
-  EXPECT_EQ(p.a->stats().packets_tx, 1u);
-  EXPECT_EQ(p.a->stats().bytes_tx, 6u);
-  EXPECT_EQ(p.b->stats().packets_rx, 1u);
-  EXPECT_EQ(p.b->stats().bytes_rx, 6u);
-}
-
-TEST(TcpChannel, RealTcpSocketsCarryTrafficToo) {
-  // Same contract over an actual 127.0.0.1 listen/connect/accept.
-  TcpPair p(Endpoint::Scheme::kTcp, "inet");
-  char rx[8] = {};
-  p.b->post_recv(rx, sizeof(rx), 1);
-  p.a->post_send("inet", 5, 2);
-  Completion c{};
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.b->poll_rx(o); }, c));
-  EXPECT_STREQ(rx, "inet");
-}
-
-TEST(TcpChannel, ZeroAndOneByteMessages) {
-  TcpPair p;
-  char rx0 = 'x', rx1 = 0;
-  p.b->post_recv(&rx0, 1, 1);
-  p.b->post_recv(&rx1, 1, 2);
-  p.a->post_send(nullptr, 0, 10);  // zero-byte: header-only frame
-  const char one = 'Z';
-  p.a->post_send(&one, 1, 11);
-
-  Completion c{};
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.b->poll_rx(o); }, c));
-  EXPECT_EQ(c.bytes, 0u);
-  EXPECT_EQ(rx0, 'x');  // untouched
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.b->poll_rx(o); }, c));
-  EXPECT_EQ(c.bytes, 1u);
-  EXPECT_EQ(rx1, 'Z');
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.a->poll_tx(o); }, c));
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.a->poll_tx(o); }, c));
-  EXPECT_FALSE(p.a->poll_tx(c));
-}
-
-TEST(TcpChannel, StagedArrivalDeliveredToLatePostedBuffer) {
-  TcpPair p;
-  const char payload[] = "buffered";
-  p.a->post_send(payload, sizeof(payload), 1);
-  // The send completes once the frame hits the kernel; the receiver has
-  // not posted, so its pump stages the arrival driver-side.
-  Completion c{};
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.a->poll_tx(o); }, c));
-  char rx[16] = {};
-  p.b->post_recv(rx, sizeof(rx), 2);
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.b->poll_rx(o); }, c));
-  EXPECT_STREQ(rx, "buffered");
-}
-
-TEST(TcpChannel, UndersizedPostedBufferPreservesFifo) {
-  // Per-channel FIFO regression: an arrival that cannot go direct (here:
-  // the posted buffer is too small) must not let the NEXT frame claim the
-  // descriptor and overtake it. Expected shmem-matching semantics: the
-  // first message is delivered truncated to the first descriptor, the
-  // second message to the second, in send order.
-  TcpPair p;
-  char small[4] = {};
-  char roomy[16] = {};
-  p.b->post_recv(small, sizeof(small), 1);
-  p.b->post_recv(roomy, sizeof(roomy), 2);
-  const char m1[] = "first-message!";  // 15 bytes: overflows `small`
-  const char m2[] = "2nd";             // 4 bytes: would fit `small`
-  p.a->post_send(m1, sizeof(m1), 11);
-  p.a->post_send(m2, sizeof(m2), 12);
-
-  Completion c{};
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.b->poll_rx(o); }, c));
-  EXPECT_EQ(c.wrid, 1u);
-  EXPECT_EQ(c.bytes, sizeof(small));
-  EXPECT_EQ(std::memcmp(small, m1, sizeof(small)), 0);
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.b->poll_rx(o); }, c));
-  EXPECT_EQ(c.wrid, 2u);
-  EXPECT_EQ(c.bytes, sizeof(m2));
-  EXPECT_STREQ(roomy, "2nd");
-  p.a->quiesce();
-}
 
 TEST(TcpChannel, SocketFullBackpressuresWithoutDeadlock) {
   // Far more bytes than any default socket buffer, receiver idle: the
@@ -599,40 +664,6 @@ TEST(TcpChannel, RdmaReadRoundTripsOverTheWire) {
   EXPECT_FALSE(c.failed);
   EXPECT_EQ(local, remote);
   EXPECT_EQ(p.b->stats().rdma_reads_served, 1u);
-}
-
-TEST(TcpChannel, QuiesceSettlesBothDirections) {
-  TcpPair p;
-  const char ping[] = "ping", pong[] = "pong";
-  p.a->post_send(ping, sizeof(ping), 1);
-  p.b->post_send(pong, sizeof(pong), 2);
-  p.a->quiesce();
-  p.b->quiesce();
-  EXPECT_EQ(p.a->tx_backlog(), 0u);
-  Completion c{};
-  EXPECT_TRUE(p.a->poll_tx(c));
-  EXPECT_TRUE(p.b->poll_tx(c));
-}
-
-TEST(TcpChannel, SeveredEndpointDropsDataButFailsRdma) {
-  TcpPair p;
-  p.a->sever();
-  EXPECT_TRUE(p.a->severed());
-  // Drop model (NIC port gone dark): sends complete unfailed, counted as
-  // dropped — exactly the shmem/simnet severed contract.
-  p.a->post_send("lost", 5, 1);
-  Completion c{};
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.a->poll_tx(o); }, c));
-  EXPECT_EQ(c.kind, Completion::Kind::kSend);
-  EXPECT_FALSE(c.failed);
-  EXPECT_EQ(p.a->stats().packets_dropped, 1u);
-  // RDMA reads are the failure-visible path: no data can come back.
-  uint8_t byte = 0;
-  p.a->post_rdma_read(&byte, &byte, 1, 2);
-  ASSERT_TRUE(poll_until([&](Completion& o) { return p.a->poll_tx(o); }, c));
-  EXPECT_EQ(c.kind, Completion::Kind::kRdmaRead);
-  EXPECT_TRUE(c.failed);
-  p.a->quiesce();  // must not hang on a dead endpoint
 }
 
 TEST(TcpChannel, ReportsModeledRailProperties) {
@@ -692,8 +723,8 @@ TEST(ClusterMesh, HybridPlacementMixesShmemIntraWithTcpInter) {
   BackendPolicy policy;
   policy.node_of = {0, 0, 1, 1};
   policy.inter = PairWiring::kTcp;
-  const Cluster::MeshWiring mesh =
-      cluster.create_full_mesh(4, 1, {}, "mixtcp", policy);
+  cluster.init_lazy_mesh(4, 1, {}, "mixtcp", policy);
+  const auto mesh = wire_every_pair(cluster);
   ASSERT_EQ(mesh[0][1].size(), 1u);
   EXPECT_EQ(mesh[0][1][0]->backend(), Backend::kShmem);
   ASSERT_EQ(mesh[1][2].size(), 1u);
