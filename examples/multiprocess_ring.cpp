@@ -2,9 +2,10 @@
 //
 // Launched under tools/piom_launch, each rank is its own process: it reads
 // the bootstrap environment ($PIOM_RANK / $PIOM_NRANKS / $PIOM_ROOT_ADDR),
-// rendezvouses with the root over a control socket, wires a full socket
-// mesh to its peers (TCP or Unix-domain, per the root address scheme) and
-// runs a token ring plus an allreduce over it:
+// rendezvouses on the root's data listener (the hello socket stays open as
+// its channel to rank 0), wires the rest of a full socket mesh to its peers
+// (TCP or Unix-domain, per the root address scheme) and runs a token ring
+// plus an allreduce over it:
 //
 //     ./build/tools/piom_launch -n 4 -- ./build/examples/multiprocess_ring
 //

@@ -1,21 +1,24 @@
 #include "mpi/engine_pioman.hpp"
 
+#include <chrono>
+
 #include "mpi/coll.hpp"
 #include "nmad/wildset.hpp"
 #include "util/log.hpp"
 
 namespace piom::mpi {
 
+namespace {
+constexpr std::chrono::microseconds kTimerPeriod{100};
+}  // namespace
+
 PiomanEngine::PiomanEngine(nmad::Session& session, PiomanEngineConfig config)
     : session_(session),
       config_(config),
       machine_(topo::Machine::flat(config.workers)),
       tm_(machine_),
-      runtime_(machine_, tm_) {
-  if (config_.timer) {
-    timer_.emplace(tm_, config_.timer_period);
-  }
-}
+      runtime_(machine_, tm_),
+      timer_(tm_, kTimerPeriod) {}
 
 PiomanEngine::~PiomanEngine() { shutdown(); }
 
@@ -200,7 +203,7 @@ void PiomanEngine::shutdown() {
   for (PollTask* pt : draining) {
     pt->task.wait_done();
   }
-  if (timer_) timer_->stop();
+  timer_.stop();
   runtime_.stop();
 }
 

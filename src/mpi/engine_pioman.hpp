@@ -12,10 +12,8 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -30,9 +28,6 @@ namespace piom::mpi {
 struct PiomanEngineConfig {
   /// Simulated cores of this "node" (runtime workers doing the polling).
   int workers = 4;
-  /// Timer-interrupt hook (progress guarantee under full CPU load).
-  bool timer = true;
-  std::chrono::microseconds timer_period{100};
   /// Offload packet submission to an idle core (paper §IV-B). When false
   /// the send path is inline (ablation).
   bool offload_submission = true;
@@ -102,7 +97,8 @@ class PiomanEngine final : public Engine {
   topo::Machine machine_;
   TaskManager tm_;
   sched::Runtime runtime_;
-  std::optional<sched::TimerHook> timer_;
+  /// Timer-interrupt hook (progress guarantee under full CPU load).
+  sched::TimerHook timer_;
   /// Poll-task table. The deque grows while tasks run (late gates), so the
   /// lock guards every structural access; PollTask storage is stable once
   /// emplaced. watched_ dedups watch_gate; home_ round-robins task

@@ -39,7 +39,6 @@ World::World(WorldConfig config) : config_(config) {
   transport::ClusterConfig cc;
   cc.time_scale = config_.time_scale;
   cc.shmem = config_.shmem;
-  cc.tcp = config_.tcp;
   cluster_ = std::make_unique<transport::Cluster>(cc);
   // Lazy wiring: declare the mesh, create a pair's policy-selected channels
   // (`rails` dedicated NIC links, a shmem fast path, a socket, or a mix)

@@ -54,8 +54,6 @@ struct WorldConfig {
   transport::BackendPolicy policy{};
   /// Intra-node channel tuning (ring depth, modelled latency).
   transport::ShmemConfig shmem{};
-  /// Socket channel tuning (advertised rail properties, timeouts).
-  transport::TcpConfig tcp{};
   /// Heartbeat failure detection (off by default — see mpi/failure.hpp for
   /// why caller-driven engines make it opt-in). When enabled, every rank
   /// gets a FailureDetector ticked from its engine's progress paths.

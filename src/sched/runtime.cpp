@@ -2,6 +2,7 @@
 
 #include <pthread.h>
 
+#include <chrono>
 #include <functional>
 
 #include "sync/backoff.hpp"
@@ -10,12 +11,25 @@
 namespace piom::sched {
 
 namespace {
+
 thread_local int tls_current_cpu = -1;
+
+// Idle iterations of the pure Algorithm-1 walk before a worker escalates to
+// work stealing (spin → steal → nap): a core that just ran work polls its
+// own branch cheaply first; only a persistently dry core starts scanning
+// victim queues.
+constexpr int kIdleSpinsBeforeSteal = 4;
+// How long an idle worker keeps spinning on schedule() before it naps (it
+// never naps while reachable queues hold tasks, so polling tasks are
+// serviced continuously — PIOMan busy-polls on idle cores).
+constexpr int kIdleSpinsBeforeNap = 256;
+// Nap length for a fully idle worker (woken early by submit_job).
+constexpr std::chrono::microseconds kIdleNap{200};
+
 }  // namespace
 
-Runtime::Runtime(const topo::Machine& machine, TaskManager& tm,
-                 RuntimeConfig config)
-    : machine_(machine), tm_(tm), config_(config) {
+Runtime::Runtime(const topo::Machine& machine, TaskManager& tm)
+    : machine_(machine), tm_(tm) {
   const int n = machine_.ncpus();
   workers_.reserve(static_cast<std::size_t>(n));
   for (int c = 0; c < n; ++c) {
@@ -29,6 +43,8 @@ Runtime::Runtime(const topo::Machine& machine, TaskManager& tm,
 
 Runtime::~Runtime() { stop(); }
 
+// Worker i is pinned to host CPU i (best effort; skipped when the host has
+// fewer CPUs or pinning is not permitted).
 void Runtime::pin_to_host_cpu(int cpu) {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0 || static_cast<unsigned>(cpu) >= hw) return;
@@ -45,7 +61,7 @@ int Runtime::current_cpu() { return tls_current_cpu; }
 
 void Runtime::worker_loop(int cpu) {
   tls_current_cpu = cpu;
-  if (config_.pin_threads) pin_to_host_cpu(cpu);
+  pin_to_host_cpu(cpu);
   Worker& w = *workers_[static_cast<std::size_t>(cpu)];
   int idle_spins = 0;
   while (running_.load(std::memory_order_acquire)) {
@@ -71,7 +87,7 @@ void Runtime::worker_loop(int cpu) {
     // 2. Idle hook: run communication tasks. Escalation ladder: a freshly
     //    idle core walks only its own branch (Algorithm 1); one that stayed
     //    dry escalates to the stealing walk; a fully idle one naps below.
-    const int executed = (idle_spins < config_.idle_spins_before_steal)
+    const int executed = (idle_spins < kIdleSpinsBeforeSteal)
                              ? tm_.schedule_from_level(cpu, topo::Level::kCore)
                              : tm_.schedule(cpu);
     if (executed > 0) {
@@ -82,13 +98,13 @@ void Runtime::worker_loop(int cpu) {
     //    (they may become reachable / repeatable polls need servicing),
     //    otherwise nap until a job arrives.
     ++idle_spins;
-    if (idle_spins < config_.idle_spins_before_nap ||
+    if (idle_spins < kIdleSpinsBeforeNap ||
         tm_.pending_approx() > 0) {
       sync::cpu_relax();
       continue;
     }
     std::unique_lock<std::mutex> lk(w.mutex);
-    w.cv.wait_for(lk, config_.idle_nap, [&] {
+    w.cv.wait_for(lk, kIdleNap, [&] {
       return !w.jobs.empty() || !running_.load(std::memory_order_acquire);
     });
     idle_spins = 0;

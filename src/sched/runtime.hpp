@@ -25,23 +25,6 @@
 
 namespace piom::sched {
 
-struct RuntimeConfig {
-  /// Pin worker i to host CPU i (best effort; ignored when the host has
-  /// fewer CPUs or pinning is not permitted).
-  bool pin_threads = true;
-  /// Idle iterations of the pure Algorithm-1 walk before a worker escalates
-  /// to work stealing (spin → steal → nap): a core that just ran work polls
-  /// its own branch cheaply first; only a persistently dry core starts
-  /// scanning victim queues. 0 = steal on the first dry pass.
-  int idle_spins_before_steal = 4;
-  /// How long an idle worker keeps spinning on schedule() before it naps
-  /// (it never naps while reachable queues hold tasks, so polling tasks are
-  /// serviced continuously — PIOMan busy-polls on idle cores).
-  int idle_spins_before_nap = 256;
-  /// Nap length for a fully idle worker (woken early by submit_job).
-  std::chrono::microseconds idle_nap{200};
-};
-
 /// Worker occupancy, visible to nmad's "find an idle core" offload logic.
 enum class WorkerState : uint8_t {
   kIdle = 0,     ///< no application job; polling / napping
@@ -52,8 +35,7 @@ enum class WorkerState : uint8_t {
 class Runtime {
  public:
   /// `machine` and `tm` must outlive the runtime. Spawns ncpus() workers.
-  Runtime(const topo::Machine& machine, TaskManager& tm,
-          RuntimeConfig config = {});
+  Runtime(const topo::Machine& machine, TaskManager& tm);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -114,7 +96,6 @@ class Runtime {
 
   const topo::Machine& machine_;
   TaskManager& tm_;
-  RuntimeConfig config_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> running_{true};
   std::atomic<uint64_t> jobs_run_{0};

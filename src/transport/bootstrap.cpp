@@ -1,185 +1,16 @@
 #include "transport/bootstrap.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <cstring>
+#include <cstdint>
 #include <stdexcept>
-#include <thread>
 
+#include "transport/socket.hpp"
 #include "util/env.hpp"
 
 namespace piom::transport {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x62747370;  // "btsp"
-
-[[noreturn]] void sys_fail(const char* what) {
-  std::string msg = "Bootstrap: ";
-  msg += what;
-  msg += ": ";
-  msg += std::strerror(errno);
-  throw std::runtime_error(msg);
-}
-
-int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void write_full(int fd, const void* buf, std::size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(buf);
-  while (len > 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      sys_fail("control write");
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
-void read_full(int fd, void* buf, std::size_t len, int64_t deadline_ms) {
-  uint8_t* p = static_cast<uint8_t*>(buf);
-  while (len > 0) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int64_t left = deadline_ms - now_ms();
-    if (left <= 0) throw std::runtime_error("Bootstrap: control read timeout");
-    const int pr = ::poll(&pfd, 1, static_cast<int>(left < 100 ? left : 100));
-    if (pr < 0 && errno != EINTR) sys_fail("control poll");
-    if (pr <= 0) continue;
-    const ssize_t n = ::read(fd, p, len);
-    if (n == 0) {
-      throw std::runtime_error("Bootstrap: peer closed the control socket");
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      sys_fail("control read");
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
-void write_string(int fd, const std::string& s) {
-  const uint32_t len = static_cast<uint32_t>(s.size());
-  write_full(fd, &len, sizeof(len));
-  write_full(fd, s.data(), s.size());
-}
-
-std::string read_string(int fd, int64_t deadline_ms) {
-  uint32_t len = 0;
-  read_full(fd, &len, sizeof(len), deadline_ms);
-  if (len > 4096) {
-    throw std::runtime_error("Bootstrap: implausible control string length");
-  }
-  std::string s(len, '\0');
-  if (len > 0) read_full(fd, s.data(), len, deadline_ms);
-  return s;
-}
-
-/// Control listener on `addr` (blocking socket, used once).
-int control_listen(const Endpoint& addr, int backlog) {
-  if (addr.scheme == Endpoint::Scheme::kTcp) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket");
-    const int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(addr.port);
-    const std::string host =
-        addr.host == "localhost" ? "127.0.0.1" : addr.host;
-    if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1) {
-      ::close(fd);
-      throw std::invalid_argument(
-          "Bootstrap: root host must be a numeric IPv4 address");
-    }
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd, backlog) != 0) {
-      ::close(fd);
-      sys_fail("bind/listen(control)");
-    }
-    return fd;
-  }
-  if (addr.scheme == Endpoint::Scheme::kUds) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket");
-    sockaddr_un sa{};
-    sa.sun_family = AF_UNIX;
-    if (addr.path.size() >= sizeof(sa.sun_path)) {
-      ::close(fd);
-      throw std::invalid_argument("Bootstrap: uds path too long");
-    }
-    std::memcpy(sa.sun_path, addr.path.c_str(), addr.path.size() + 1);
-    (void)::unlink(addr.path.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd, backlog) != 0) {
-      ::close(fd);
-      sys_fail("bind/listen(control uds)");
-    }
-    return fd;
-  }
-  throw std::invalid_argument("Bootstrap: root address must be tcp:// or uds://");
-}
-
-/// Connect to the root's control listener, retrying until the deadline
-/// (the root process may not have bound yet).
-int control_connect(const Endpoint& addr, int64_t deadline_ms) {
-  for (;;) {
-    int fd = -1;
-    bool connected = false;
-    if (addr.scheme == Endpoint::Scheme::kTcp) {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) sys_fail("socket");
-      sockaddr_in sa{};
-      sa.sin_family = AF_INET;
-      sa.sin_port = htons(addr.port);
-      const std::string host =
-          addr.host == "localhost" ? "127.0.0.1" : addr.host;
-      if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1) {
-        ::close(fd);
-        throw std::invalid_argument(
-            "Bootstrap: root host must be a numeric IPv4 address");
-      }
-      connected =
-          ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) == 0;
-    } else if (addr.scheme == Endpoint::Scheme::kUds) {
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd < 0) sys_fail("socket");
-      sockaddr_un sa{};
-      sa.sun_family = AF_UNIX;
-      if (addr.path.size() >= sizeof(sa.sun_path)) {
-        ::close(fd);
-        throw std::invalid_argument("Bootstrap: uds path too long");
-      }
-      std::memcpy(sa.sun_path, addr.path.c_str(), addr.path.size() + 1);
-      connected =
-          ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) == 0;
-    } else {
-      throw std::invalid_argument(
-          "Bootstrap: root address must be tcp:// or uds://");
-    }
-    if (connected) return fd;
-    ::close(fd);
-    if (now_ms() >= deadline_ms) {
-      throw std::runtime_error(
-          "Bootstrap: timeout connecting to root at " + addr.uri());
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-}
-
-/// This rank's data listener address, derived from the root address.
+/// A joiner's data listener address, derived from the root address.
 Endpoint data_listen_addr(const Endpoint& root_addr, int rank) {
   if (root_addr.scheme == Endpoint::Scheme::kUds) {
     return Endpoint::uds(root_addr.path + ".r" + std::to_string(rank));
@@ -193,117 +24,73 @@ Endpoint data_listen_addr(const Endpoint& root_addr, int rank) {
 
 }  // namespace
 
-Bootstrap Bootstrap::root(int nranks, const Endpoint& listen_addr,
-                          TcpConfig config) {
+Bootstrap Bootstrap::root(int nranks, const Endpoint& listen_addr) {
   if (nranks < 2) throw std::invalid_argument("Bootstrap::root: nranks >= 2");
-  const int64_t deadline =
-      now_ms() + static_cast<int64_t>(config.connect_timeout_s * 1000.0);
-  auto transport = std::make_unique<TcpTransport>(config);
-  transport->listen(data_listen_addr(listen_addr, 0));
-
+  auto transport = std::make_unique<TcpTransport>();
+  transport->listen(listen_addr);
+  std::vector<TcpTransport::Accepted> joiners =
+      transport->accept_peers(1, nranks, sock::setup_deadline_ms());
   std::vector<Endpoint> table(static_cast<std::size_t>(nranks));
   table[0] = transport->listen_endpoint();
-  const int control_fd = control_listen(listen_addr, nranks);
-  std::vector<int> joiner_fd(static_cast<std::size_t>(nranks), -1);
-  int outstanding = nranks - 1;
-  try {
-    while (outstanding > 0) {
-      pollfd pfd{control_fd, POLLIN, 0};
-      const int64_t left = deadline - now_ms();
-      if (left <= 0) {
-        throw std::runtime_error(
-            "Bootstrap::root: timeout waiting for joiners");
-      }
-      const int pr =
-          ::poll(&pfd, 1, static_cast<int>(left < 100 ? left : 100));
-      if (pr < 0 && errno != EINTR) sys_fail("poll(control)");
-      if (pr <= 0) continue;
-      const int fd = ::accept(control_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR || errno == EAGAIN) continue;
-        sys_fail("accept(control)");
-      }
-      uint32_t magic = 0;
-      uint32_t rank = 0;
-      read_full(fd, &magic, sizeof(magic), deadline);
-      read_full(fd, &rank, sizeof(rank), deadline);
-      const std::string uri = read_string(fd, deadline);
-      if (magic != kMagic || rank == 0 ||
-          rank >= static_cast<uint32_t>(nranks) ||
-          joiner_fd[rank] != -1) {
-        ::close(fd);
-        throw std::runtime_error("Bootstrap::root: bogus joiner hello");
-      }
-      table[rank] = Endpoint::parse(uri);
-      joiner_fd[rank] = fd;
-      --outstanding;
-    }
-    // Everyone checked in: broadcast the table (count, then the entries in
-    // rank order), then hang up.
-    for (int r = 1; r < nranks; ++r) {
-      const int jfd = joiner_fd[static_cast<std::size_t>(r)];
-      const uint32_t count = static_cast<uint32_t>(nranks);
-      write_full(jfd, &count, sizeof(count));
-      for (const Endpoint& ep : table) write_string(jfd, ep.uri());
-    }
-  } catch (...) {
-    for (const int fd : joiner_fd) {
-      if (fd >= 0) ::close(fd);
-    }
-    ::close(control_fd);
-    throw;
+  for (int r = 1; r < nranks; ++r) {
+    table[static_cast<std::size_t>(r)] =
+        joiners[static_cast<std::size_t>(r)].addr;
   }
-  for (const int fd : joiner_fd) {
-    if (fd >= 0) ::close(fd);
+  // Everyone checked in: answer each joiner on its hello socket with the
+  // table (a count, then every URI in rank order). The socket then carries
+  // the rank 0 <-> r data channel.
+  const auto count = static_cast<uint32_t>(nranks);
+  const bool uds = listen_addr.scheme == Endpoint::Scheme::kUds;
+  std::vector<IChannel*> channels(static_cast<std::size_t>(nranks), nullptr);
+  for (int r = 1; r < nranks; ++r) {
+    sock::Fd& fd = joiners[static_cast<std::size_t>(r)].fd;
+    sock::write_full(fd.get(), &count, sizeof(count));
+    for (const Endpoint& ep : table) sock::write_string(fd.get(), ep.uri());
+    channels[static_cast<std::size_t>(r)] = transport->adopt_fd(
+        std::move(fd), "tcp.0-" + std::to_string(r) + ".a", uds);
   }
-  ::close(control_fd);
-  if (listen_addr.scheme == Endpoint::Scheme::kUds) {
-    (void)::unlink(listen_addr.path.c_str());
-  }
-  std::vector<IChannel*> channels = transport->connect_mesh(0, table);
   return Bootstrap(0, nranks, std::move(transport), std::move(table),
                    std::move(channels));
 }
 
-Bootstrap Bootstrap::join(int rank, const Endpoint& root_addr,
-                          TcpConfig config) {
+Bootstrap Bootstrap::join(int rank, const Endpoint& root_addr) {
   if (rank < 1) throw std::invalid_argument("Bootstrap::join: rank >= 1");
-  const int64_t deadline =
-      now_ms() + static_cast<int64_t>(config.connect_timeout_s * 1000.0);
-  auto transport = std::make_unique<TcpTransport>(config);
+  const int64_t deadline = sock::setup_deadline_ms();
+  auto transport = std::make_unique<TcpTransport>();
   transport->listen(data_listen_addr(root_addr, rank));
 
-  const int fd = control_connect(root_addr, deadline);
-  std::vector<Endpoint> table;
-  try {
-    const uint32_t magic = kMagic;
-    const uint32_t r = static_cast<uint32_t>(rank);
-    write_full(fd, &magic, sizeof(magic));
-    write_full(fd, &r, sizeof(r));
-    write_string(fd, transport->listen_endpoint().uri());
-    // The root answers — once every rank has checked in — with the table:
-    // a count, then everyone's endpoint URI in rank order.
-    uint32_t count = 0;
-    read_full(fd, &count, sizeof(count), deadline);
-    if (count < 2 || rank >= static_cast<int>(count) || count > 4096) {
-      throw std::runtime_error("Bootstrap::join: bogus table size");
-    }
-    table.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      table.push_back(Endpoint::parse(read_string(fd, deadline)));
-    }
-  } catch (...) {
-    ::close(fd);
-    throw;
+  sock::Fd fd = sock::connect(root_addr, deadline);
+  sock::write_hello(fd.get(), rank, transport->listen_endpoint());
+  // The root answers — once every rank has checked in — with the table: a
+  // count, then everyone's endpoint URI in rank order. EOF here means the
+  // root refused the hello (say, a second joiner claiming this rank).
+  uint32_t count = 0;
+  if (!sock::read_full(fd.get(), &count, sizeof(count), deadline)) {
+    throw std::runtime_error("Bootstrap::join: root closed the rendezvous");
   }
-  ::close(fd);
+  if (count < 2 || rank >= static_cast<int>(count) || count > 4096) {
+    throw std::runtime_error("Bootstrap::join: bogus table size");
+  }
+  std::vector<Endpoint> table;
+  table.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string uri;
+    if (!sock::read_string(fd.get(), uri, deadline)) {
+      throw std::runtime_error("Bootstrap::join: truncated endpoint table");
+    }
+    table.push_back(Endpoint::parse(uri));
+  }
+  IChannel* to_root = transport->adopt_fd(
+      std::move(fd), "tcp.0-" + std::to_string(rank) + ".b",
+      root_addr.scheme == Endpoint::Scheme::kUds);
+  std::vector<IChannel*> channels = transport->connect_mesh(rank, table, 1);
+  channels[0] = to_root;
   const int nranks = static_cast<int>(table.size());
-  std::vector<IChannel*> channels = transport->connect_mesh(rank, table);
   return Bootstrap(rank, nranks, std::move(transport), std::move(table),
                    std::move(channels));
 }
 
-Bootstrap Bootstrap::from_env(TcpConfig config) {
+Bootstrap Bootstrap::from_env() {
   const int64_t rank = util::env::integer("PIOM_RANK", -1);
   const int64_t nranks = util::env::integer("PIOM_NRANKS", -1);
   const std::string root_uri = util::env::str("PIOM_ROOT_ADDR", "");
@@ -314,9 +101,9 @@ Bootstrap Bootstrap::from_env(TcpConfig config) {
   }
   const Endpoint root_addr = Endpoint::parse(root_uri);
   if (rank == 0) {
-    return root(static_cast<int>(nranks), root_addr, config);
+    return root(static_cast<int>(nranks), root_addr);
   }
-  return join(static_cast<int>(rank), root_addr, config);
+  return join(static_cast<int>(rank), root_addr);
 }
 
 }  // namespace piom::transport

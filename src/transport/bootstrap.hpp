@@ -1,23 +1,29 @@
 // Bootstrap: rendezvous wiring for ranks that live in separate OS
-// processes. Every rank creates a socket data listener, then exchanges the
-// resulting endpoint table out-of-band through rank 0:
+// processes. The rendezvous runs on rank 0's data listener, and each
+// joiner's hello socket stays open as its rank 0 data channel:
 //
 //     rank 0                           rank r (r > 0)
-//     Bootstrap::root(n, listen)       Bootstrap::join(r, root_addr)
-//       listen on root_addr              connect to root_addr (retrying —
-//       accept n-1 joiners               processes start in any order)
-//       collect {rank, data URI}         send {r, data URI}
-//       broadcast the full table         receive the full table
-//       connect_mesh(0, table)           connect_mesh(r, table)
+//     Bootstrap::root(n, root_addr)    Bootstrap::join(r, root_addr)
+//       listen on root_addr              listen on its own data address
+//                                        connect to root_addr (retrying —
+//                                        processes start in any order)
+//       accept n-1 hellos          <--   hello {magic, r, data URI}
+//       answer each with the table  -->  read the table
+//       adopt each socket as the         adopt the socket as the
+//         0 <-> r channel                  0 <-> r channel
+//                                        connect_mesh over ranks 1..n-1
 //
-// The control plane is plain blocking sockets, used once and closed; the
-// data plane is the TcpTransport event loop (transport/tcp.hpp). The
-// Bootstrap owns that transport — keep it alive as long as the channels
-// are in use (mpi::LocalRank holds it for exactly that reason).
+// Every setup socket goes through transport/socket.hpp: one listen, one
+// connect-with-retry, one accept-with-deadline and one hello, shared with
+// the data mesh. A connection whose hello is malformed (bad magic, rank out
+// of range or taken, implausible URI, EOF) is closed and logged, and the
+// accept loop goes on; a missed deadline throws. The Bootstrap owns the
+// TcpTransport — keep it alive as long as the channels are in use
+// (mpi::LocalRank holds it for exactly that reason).
 //
-// Data listener addresses are derived from the root address: a uds root
-// "uds:///tmp/x.sock" puts rank r's data listener at /tmp/x.sock.r<r>; a
-// tcp root uses an ephemeral port on the same host.
+// Joiners' data listener addresses are derived from the root address: a
+// uds root "uds:///tmp/x.sock" puts rank r's listener at /tmp/x.sock.r<r>;
+// a tcp root uses an ephemeral port on the same host.
 #pragma once
 
 #include <memory>
@@ -32,16 +38,15 @@ namespace piom::transport {
 class Bootstrap {
  public:
   /// Rank 0: listen on `listen_addr` (tcp:// or uds://), gather the other
-  /// nranks-1 ranks, broadcast the endpoint table, wire the data mesh.
-  /// Blocking; throws std::runtime_error on timeout or protocol garbage.
-  static Bootstrap root(int nranks, const Endpoint& listen_addr,
-                        TcpConfig config = {});
-  /// Rank r > 0: join the cluster rooted at `root_addr`.
-  static Bootstrap join(int rank, const Endpoint& root_addr,
-                        TcpConfig config = {});
+  /// nranks-1 ranks, answer each with the endpoint table. Blocking; throws
+  /// std::runtime_error on timeout.
+  static Bootstrap root(int nranks, const Endpoint& listen_addr);
+  /// Rank r > 0: join the cluster rooted at `root_addr`, then wire the
+  /// data mesh to ranks 1..n-1.
+  static Bootstrap join(int rank, const Endpoint& root_addr);
   /// From $PIOM_RANK / $PIOM_NRANKS / $PIOM_ROOT_ADDR — the environment
   /// piom_launch exports into every spawned rank.
-  static Bootstrap from_env(TcpConfig config = {});
+  static Bootstrap from_env();
 
   Bootstrap(Bootstrap&&) = default;
   Bootstrap& operator=(Bootstrap&&) = default;
@@ -56,7 +61,8 @@ class Bootstrap {
   [[nodiscard]] const std::vector<IChannel*>& channels() const {
     return channels_;
   }
-  /// Everyone's advertised data endpoints (index = rank).
+  /// Everyone's advertised data endpoints (index = rank; [0] is the root's
+  /// listen address).
   [[nodiscard]] const std::vector<Endpoint>& table() const { return table_; }
 
  private:

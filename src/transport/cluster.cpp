@@ -26,7 +26,7 @@ TcpTransport& Cluster::tcp_node(int node) {
   const auto idx = static_cast<std::size_t>(node);
   if (idx >= tcp_nodes_.size()) tcp_nodes_.resize(idx + 1);
   if (!tcp_nodes_[idx]) {
-    tcp_nodes_[idx] = std::make_unique<TcpTransport>(config_.tcp);
+    tcp_nodes_[idx] = std::make_unique<TcpTransport>();
   }
   return *tcp_nodes_[idx];
 }

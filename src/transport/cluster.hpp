@@ -32,7 +32,6 @@ struct ClusterConfig {
   /// Multiplies every modelled simnet delay (see simnet::Fabric).
   double time_scale = 1.0;
   ShmemConfig shmem{};
-  TcpConfig tcp{};
 };
 
 class Cluster {

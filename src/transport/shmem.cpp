@@ -236,6 +236,9 @@ bool ShmemChannel::poll_tx(Completion& out) {
 
 void ShmemChannel::drain_rx() {
   sync::LockGuard<sync::SpinLock> lk(rx_.lock());
+  uint64_t dropped_count = 0;
+  uint64_t rx_count = 0;
+  uint64_t rx_bytes = 0;
   for (;;) {
     Msg* m = inbound_.try_pop();
     if (m == nullptr) break;
@@ -248,15 +251,19 @@ void ShmemChannel::drain_rx() {
     // Completion protocol: this release store is the consumer's final
     // touch — the producer may recycle `m` the instant it observes it.
     m->done.store(1, std::memory_order_release);
-    stats_lock_.lock();
     if (dropped) {
-      stats_.packets_dropped++;
+      ++dropped_count;
     } else {
-      stats_.packets_rx++;
-      stats_.bytes_rx += len;
+      ++rx_count;
+      rx_bytes += len;
     }
-    stats_lock_.unlock();
   }
+  if (dropped_count + rx_count == 0) return;
+  stats_lock_.lock();
+  stats_.packets_dropped += dropped_count;
+  stats_.packets_rx += rx_count;
+  stats_.bytes_rx += rx_bytes;
+  stats_lock_.unlock();
 }
 
 void ShmemChannel::pump_tx() {
@@ -274,8 +281,7 @@ bool ShmemChannel::poll_rx(Completion& out) {
       peer_->tx_backlog_.load(std::memory_order_acquire) != 0) {
     peer_->pump_tx();
   }
-  if (rx_.empty() && inbound_.size() == 0) return false;
-  drain_rx();
+  if (inbound_.size() != 0) drain_rx();
   return rx_.poll(out);
 }
 

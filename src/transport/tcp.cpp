@@ -1,21 +1,18 @@
 #include "transport/tcp.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "sync/backoff.hpp"
+#include "transport/socket.hpp"
 #include "util/log.hpp"
 
 namespace piom::transport {
@@ -25,25 +22,20 @@ namespace {
 constexpr int kIovBatch = 16;   ///< frames coalesced per sendmsg
 constexpr int kMaxEvents = 64;  ///< poller events handled per pump
 
-/// Setup-time hello, sent raw (outside channel framing) right after a data
-/// connection is established, so accept() can tell which rank connected.
-struct Hello {
-  uint32_t magic = 0x70696f6d;  // "piom"
-  uint32_t rank = 0;
-};
-
-[[noreturn]] void sys_fail(const char* what) {
-  std::string msg = "tcp transport: ";
-  msg += what;
-  msg += ": ";
-  msg += std::strerror(errno);
-  throw std::runtime_error(msg);
-}
+// Rail properties reported to the strategy layer. Loopback sockets have no
+// modelled wire; these estimates rank socket rails below shmem for eager
+// selection (and TCP below UDS), which is what hybrid gates want.
+constexpr double kTcpLatencyUs = 15.0;
+constexpr double kUdsLatencyUs = 8.0;
+constexpr double kBandwidthGBps = 2.0;
+/// Frame-length sanity cap: a length prefix above this kills the connection
+/// (a corrupt or misframed stream must not allocate GBs).
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    sys_fail("fcntl(O_NONBLOCK)");
+    sock::sys_fail("fcntl(O_NONBLOCK)");
   }
 }
 
@@ -52,69 +44,6 @@ void set_nodelay(int fd) {
   // Eager latency rides small frames; Nagle would batch them with the ACK
   // clock. Failure is non-fatal (some socket types reject the option).
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/// Blocking write of exactly `len` bytes (setup path only).
-void write_full(int fd, const void* buf, std::size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(buf);
-  while (len > 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      sys_fail("setup write");
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
-int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Blocking read of exactly `len` bytes with a deadline (setup path only).
-void read_full(int fd, void* buf, std::size_t len, int64_t deadline_ms) {
-  uint8_t* p = static_cast<uint8_t*>(buf);
-  while (len > 0) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int64_t left = deadline_ms - now_ms();
-    if (left <= 0) throw std::runtime_error("tcp transport: setup read timeout");
-    const int pr = ::poll(&pfd, 1, static_cast<int>(left < 100 ? left : 100));
-    if (pr < 0 && errno != EINTR) sys_fail("setup poll");
-    if (pr <= 0) continue;
-    const ssize_t n = ::read(fd, p, len);
-    if (n == 0) throw std::runtime_error("tcp transport: peer closed during setup");
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      sys_fail("setup read");
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
-sockaddr_in make_inet_addr(const std::string& host, uint16_t port) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
-  if (::inet_pton(AF_INET, numeric.c_str(), &sa.sin_addr) != 1) {
-    throw std::invalid_argument("tcp transport: host must be a numeric IPv4 "
-                                "address (got '" + host + "')");
-  }
-  return sa;
-}
-
-sockaddr_un make_unix_addr(const std::string& path) {
-  sockaddr_un sa{};
-  sa.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(sa.sun_path)) {
-    throw std::invalid_argument("tcp transport: uds path too long: " + path);
-  }
-  std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
-  return sa;
 }
 
 }  // namespace
@@ -127,16 +56,14 @@ TcpChannel::TcpChannel(TcpTransport& owner, std::string name, int fd,
 
 TcpChannel::~TcpChannel() { ::close(fd_); }
 
-double TcpChannel::bandwidth_GBps() const {
-  return owner_.config_.bandwidth_GBps;
-}
+double TcpChannel::bandwidth_GBps() const { return kBandwidthGBps; }
 
 double TcpChannel::latency_us() const {
-  return uds_ ? owner_.config_.uds_latency_us : owner_.config_.tcp_latency_us;
+  return uds_ ? kUdsLatencyUs : kTcpLatencyUs;
 }
 
 void TcpChannel::post_send(const void* buf, std::size_t len, uint64_t wrid) {
-  if (len > owner_.config_.max_frame_bytes || len > UINT32_MAX) {
+  if (len > kMaxFrameBytes || len > UINT32_MAX) {
     throw std::invalid_argument("TcpChannel::post_send: frame too large");
   }
   if (severed()) {
@@ -457,7 +384,7 @@ void TcpChannel::serve_rdma_request(const RdmaReqMeta& req) {
   // our RTS). Zero-copy serve: point the frame's payload straight at it —
   // the rendezvous contract keeps the buffer valid until FIN, and FIN can
   // only follow this response. A severed endpoint NACKs instead.
-  const bool ok = !severed() && req.len <= owner_.config_.max_frame_bytes;
+  const bool ok = !severed() && req.len <= kMaxFrameBytes;
   SendOp op{};
   FrameHeader hdr;
   hdr.len = static_cast<uint32_t>(sizeof(RdmaRespMeta) + (ok ? req.len : 0));
@@ -634,7 +561,7 @@ int TcpChannel::handle_readable() {
         if (rx_scratch_got_ == sizeof(FrameHeader)) {
           std::memcpy(&rx_hdr_, rx_scratch_, sizeof(rx_hdr_));
           rx_scratch_got_ = 0;
-          if (rx_hdr_.len > owner_.config_.max_frame_bytes) {
+          if (rx_hdr_.len > kMaxFrameBytes) {
             PIOM_LOG_WARN("tcp channel %s: insane frame length %u, killing "
                           "connection",
                           name_.c_str(), rx_hdr_.len);
@@ -693,8 +620,6 @@ int TcpChannel::handle_readable() {
 
 // -------------------------------------------------------------- transport
 
-TcpTransport::TcpTransport(TcpConfig config) : config_(config) {}
-
 TcpTransport::~TcpTransport() {
   sync::LockGuard<sync::MutexLock> pump_guard(pump_lock_);
   sync::LockGuard<sync::MutexLock> g(state_lock_);
@@ -704,11 +629,13 @@ TcpTransport::~TcpTransport() {
   if (!unlink_path_.empty()) ::unlink(unlink_path_.c_str());
 }
 
-TcpChannel* TcpTransport::adopt_fd(int fd, std::string name, bool uds) {
-  set_nonblocking(fd);
-  if (!uds) set_nodelay(fd);
+TcpChannel* TcpTransport::adopt_fd(sock::Fd fd, std::string name,
+                                   bool uds) {
+  set_nonblocking(fd.get());
+  if (!uds) set_nodelay(fd.get());
+  const int raw_fd = fd.get();
   auto ch = std::unique_ptr<TcpChannel>(
-      new TcpChannel(*this, std::move(name), fd, uds));
+      new TcpChannel(*this, std::move(name), fd.release(), uds));
   TcpChannel* raw = ch.get();
   // The poller's bookkeeping is only touched under pump_lock_ (wait() runs
   // inside pump(), add() here) so registration never races the event loop.
@@ -717,7 +644,7 @@ TcpChannel* TcpTransport::adopt_fd(int fd, std::string name, bool uds) {
     sync::LockGuard<sync::MutexLock> g(state_lock_);
     channels_.push_back(std::move(ch));
   }
-  poller_.add(fd, raw);
+  poller_.add(raw_fd, raw);
   return raw;
 }
 
@@ -740,54 +667,10 @@ std::pair<IChannel*, IChannel*> TcpTransport::create_channel_pair(
 std::pair<IChannel*, IChannel*> TcpTransport::create_loopback_pair(
     TcpTransport& ta, TcpTransport& tb, const std::string& name,
     Endpoint::Scheme scheme) {
-  int fd_a = -1;
-  int fd_b = -1;
-  if (scheme == Endpoint::Scheme::kUds) {
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      sys_fail("socketpair");
-    }
-    fd_a = sv[0];
-    fd_b = sv[1];
-  } else if (scheme == Endpoint::Scheme::kTcp) {
-    // A real TCP connection through 127.0.0.1, so loopback "tcp" pairs
-    // exercise (and cost) the genuine inet stack, not just a socketpair.
-    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (lfd < 0) sys_fail("socket");
-    sockaddr_in sa = make_inet_addr("127.0.0.1", 0);
-    if (::bind(lfd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(lfd, 1) != 0) {
-      ::close(lfd);
-      sys_fail("bind/listen(127.0.0.1)");
-    }
-    socklen_t slen = sizeof(sa);
-    if (::getsockname(lfd, reinterpret_cast<sockaddr*>(&sa), &slen) != 0) {
-      ::close(lfd);
-      sys_fail("getsockname");
-    }
-    fd_a = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_a < 0) {
-      ::close(lfd);
-      sys_fail("socket");
-    }
-    if (::connect(fd_a, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-      ::close(lfd);
-      ::close(fd_a);
-      sys_fail("connect(127.0.0.1)");
-    }
-    fd_b = ::accept(lfd, nullptr, nullptr);
-    ::close(lfd);
-    if (fd_b < 0) {
-      ::close(fd_a);
-      sys_fail("accept");
-    }
-  } else {
-    throw std::invalid_argument(
-        "TcpTransport::create_loopback_pair: scheme must be tcp or uds");
-  }
+  auto [fd_a, fd_b] = sock::loopback_pair(scheme);
   const bool uds = scheme == Endpoint::Scheme::kUds;
-  TcpChannel* a = ta.adopt_fd(fd_a, name + ".a", uds);
-  TcpChannel* b = tb.adopt_fd(fd_b, name + ".b", uds);
+  TcpChannel* a = ta.adopt_fd(std::move(fd_a), name + ".a", uds);
+  TcpChannel* b = tb.adopt_fd(std::move(fd_b), name + ".b", uds);
   a->peer_ = b;
   b->peer_ = a;
   return {a, b};
@@ -798,43 +681,10 @@ void TcpTransport::listen(const Endpoint& addr) {
   if (listen_fd_ >= 0) {
     throw std::logic_error("TcpTransport::listen: already listening");
   }
-  if (addr.scheme == Endpoint::Scheme::kTcp) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket");
-    const int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in sa = make_inet_addr(addr.host, addr.port);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd, config_.listen_backlog) != 0) {
-      ::close(fd);
-      sys_fail("bind/listen");
-    }
-    socklen_t slen = sizeof(sa);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &slen) != 0) {
-      ::close(fd);
-      sys_fail("getsockname");
-    }
-    listen_fd_ = fd;
-    listen_addr_ = Endpoint::tcp(addr.host, ntohs(sa.sin_port));
-    return;
-  }
-  if (addr.scheme == Endpoint::Scheme::kUds) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket");
-    sockaddr_un sa = make_unix_addr(addr.path);
-    (void)::unlink(addr.path.c_str());  // stale socket file from a crash
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-        ::listen(fd, config_.listen_backlog) != 0) {
-      ::close(fd);
-      sys_fail("bind/listen(uds)");
-    }
-    listen_fd_ = fd;
-    listen_addr_ = addr;
-    unlink_path_ = addr.path;
-    return;
-  }
-  throw std::invalid_argument(
-      "TcpTransport::listen: address must be tcp:// or uds://");
+  sock::Listener l = sock::listen(addr);
+  listen_fd_ = l.fd.release();
+  listen_addr_ = l.bound;
+  if (addr.scheme == Endpoint::Scheme::kUds) unlink_path_ = addr.path;
 }
 
 const Endpoint& TcpTransport::listen_endpoint() const {
@@ -845,99 +695,61 @@ const Endpoint& TcpTransport::listen_endpoint() const {
   return listen_addr_;
 }
 
-std::vector<IChannel*> TcpTransport::connect_mesh(
-    int my_rank, const std::vector<Endpoint>& table) {
-  const int n = static_cast<int>(table.size());
-  if (my_rank < 0 || my_rank >= n) {
-    throw std::invalid_argument("TcpTransport::connect_mesh: bad rank");
-  }
-  const int64_t deadline =
-      now_ms() + static_cast<int64_t>(config_.connect_timeout_s * 1000.0);
-  std::vector<IChannel*> out(static_cast<std::size_t>(n), nullptr);
-  // Connect to every lower rank. Lower ranks finish their own (lower)
-  // connects first, then sit in accept — so this ordering cannot cycle.
-  for (int peer = 0; peer < my_rank; ++peer) {
-    const Endpoint& ep = table[static_cast<std::size_t>(peer)];
-    int fd = -1;
-    for (;;) {
-      if (ep.scheme == Endpoint::Scheme::kTcp) {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) sys_fail("socket");
-        sockaddr_in sa = make_inet_addr(ep.host, ep.port);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) ==
-            0) {
-          break;
-        }
-      } else if (ep.scheme == Endpoint::Scheme::kUds) {
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) sys_fail("socket");
-        sockaddr_un sa = make_unix_addr(ep.path);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) ==
-            0) {
-          break;
-        }
-      } else {
-        throw std::invalid_argument(
-            "TcpTransport::connect_mesh: table entries must be tcp/uds");
-      }
-      // Peer not up yet (cluster processes start in arbitrary order).
-      ::close(fd);
-      if (now_ms() >= deadline) {
-        throw std::runtime_error("TcpTransport::connect_mesh: timeout "
-                                 "connecting to rank " +
-                                 std::to_string(peer));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    Hello hello;
-    hello.rank = static_cast<uint32_t>(my_rank);
-    write_full(fd, &hello, sizeof(hello));
-    const std::string name = "tcp." + std::to_string(peer) + "-" +
-                             std::to_string(my_rank) + ".b";
-    out[static_cast<std::size_t>(peer)] =
-        adopt_fd(fd, name, ep.scheme == Endpoint::Scheme::kUds);
-  }
-  // Accept from every higher rank (identified by its hello).
-  int outstanding = n - my_rank - 1;
-  const bool uds = listen_endpoint().scheme == Endpoint::Scheme::kUds;
-  // Snapshot the listener fd once: it is written under state_lock_ (and
-  // listen_endpoint() above has already proven it exists), but the accept
-  // loop must not read the field without the lock.
+std::vector<TcpTransport::Accepted> TcpTransport::accept_peers(
+    int lo, int hi, int64_t deadline_ms) {
+  std::vector<Accepted> out(static_cast<std::size_t>(hi));
   int lfd = -1;
   {
     sync::LockGuard<sync::MutexLock> g(state_lock_);
     lfd = listen_fd_;
   }
-  while (outstanding > 0) {
-    pollfd pfd{lfd, POLLIN, 0};
-    const int64_t left = deadline - now_ms();
-    if (left <= 0) {
-      throw std::runtime_error(
-          "TcpTransport::connect_mesh: timeout waiting for peers");
-    }
-    const int pr = ::poll(&pfd, 1, static_cast<int>(left < 100 ? left : 100));
-    if (pr < 0 && errno != EINTR) sys_fail("poll(listen)");
-    if (pr <= 0) continue;
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      sys_fail("accept");
-    }
-    Hello hello;
-    read_full(fd, &hello, sizeof(hello), deadline);
-    const int peer = static_cast<int>(hello.rank);
-    if (hello.magic != Hello{}.magic || peer <= my_rank || peer >= n ||
-        out[static_cast<std::size_t>(peer)] != nullptr) {
-      PIOM_LOG_WARN("tcp transport: dropping bogus data connection "
-                    "(hello rank %d)",
-                    peer);
-      ::close(fd);
+  for (int outstanding = hi - lo; outstanding > 0;) {
+    sock::Fd fd = sock::accept(lfd, deadline_ms);
+    sock::Hello hello;
+    if (!sock::read_hello(fd.get(), hello, deadline_ms) || hello.rank < lo ||
+        hello.rank >= hi ||
+        out[static_cast<std::size_t>(hello.rank)].fd.valid()) {
+      PIOM_LOG_WARN("tcp transport: dropping a connection with a bad hello "
+                    "(rank %d, expected [%d, %d))",
+                    hello.rank, lo, hi);
       continue;
     }
+    out[static_cast<std::size_t>(hello.rank)] =
+        Accepted{std::move(fd), std::move(hello.addr)};
+    --outstanding;
+  }
+  return out;
+}
+
+std::vector<IChannel*> TcpTransport::connect_mesh(
+    int my_rank, const std::vector<Endpoint>& table, int first_peer) {
+  const int n = static_cast<int>(table.size());
+  if (my_rank < 0 || my_rank >= n || first_peer < 0) {
+    throw std::invalid_argument("TcpTransport::connect_mesh: bad rank");
+  }
+  const int64_t deadline = sock::setup_deadline_ms();
+  const Endpoint& self = listen_endpoint();
+  std::vector<IChannel*> out(static_cast<std::size_t>(n), nullptr);
+  // Connect to every lower rank. Lower ranks finish their own (lower)
+  // connects first, then sit in accept — so this ordering cannot cycle.
+  for (int peer = first_peer; peer < my_rank; ++peer) {
+    const Endpoint& ep = table[static_cast<std::size_t>(peer)];
+    sock::Fd fd = sock::connect(ep, deadline);
+    sock::write_hello(fd.get(), my_rank, self);
+    const std::string name = "tcp." + std::to_string(peer) + "-" +
+                             std::to_string(my_rank) + ".b";
+    out[static_cast<std::size_t>(peer)] =
+        adopt_fd(std::move(fd), name, ep.scheme == Endpoint::Scheme::kUds);
+  }
+  // Accept from every higher rank (identified by its hello).
+  const bool uds = self.scheme == Endpoint::Scheme::kUds;
+  const int lo = std::max(my_rank + 1, first_peer);
+  std::vector<Accepted> accepted = accept_peers(lo, n, deadline);
+  for (int peer = lo; peer < n; ++peer) {
+    Accepted& a = accepted[static_cast<std::size_t>(peer)];
     const std::string name = "tcp." + std::to_string(my_rank) + "-" +
                              std::to_string(peer) + ".a";
-    out[static_cast<std::size_t>(peer)] = adopt_fd(fd, name, uds);
-    --outstanding;
+    out[static_cast<std::size_t>(peer)] = adopt_fd(std::move(a.fd), name, uds);
   }
   return out;
 }

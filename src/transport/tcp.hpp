@@ -40,24 +40,9 @@
 #include "transport/channel.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/rx_queue.hpp"
+#include "transport/socket.hpp"
 
 namespace piom::transport {
-
-struct TcpConfig {
-  /// Rail properties reported to the strategy layer. Loopback sockets have
-  /// no modelled wire; these estimates rank socket rails below shmem for
-  /// eager selection (and TCP below UDS), which is what hybrid gates want.
-  double tcp_latency_us = 15.0;
-  double uds_latency_us = 8.0;
-  double bandwidth_GBps = 2.0;
-  int listen_backlog = 64;
-  /// Frame-length sanity cap: a length prefix above this kills the
-  /// connection (a corrupt or misframed stream must not allocate GBs).
-  std::size_t max_frame_bytes = 1u << 30;
-  /// Seconds setup-time connect/accept loops keep retrying (ranks of a
-  /// multi-process cluster start in arbitrary order).
-  double connect_timeout_s = 30.0;
-};
 
 class TcpTransport;
 
@@ -239,7 +224,7 @@ class TcpChannel final : public IChannel {
 /// wired to its peers by Bootstrap (transport/bootstrap.hpp).
 class TcpTransport final : public ITransport {
  public:
-  explicit TcpTransport(TcpConfig config = {});
+  TcpTransport() = default;
   ~TcpTransport() override;
 
   TcpTransport(const TcpTransport&) = delete;
@@ -267,13 +252,15 @@ class TcpTransport final : public ITransport {
   /// The actual bound address (ephemeral port / path resolved) — this is
   /// what Bootstrap advertises in the endpoint table.
   [[nodiscard]] const Endpoint& listen_endpoint() const;
-  /// Establish this rank's per-peer data channels given everyone's listen
-  /// endpoints: connect to every lower rank (announcing ourselves with a
-  /// hello frame), accept from every higher rank (identified by theirs).
-  /// Returns channels indexed by peer rank (self slot null). Blocking;
-  /// throws std::runtime_error on timeout.
+  /// Establish this rank's data channels to peers [first_peer, n) given
+  /// everyone's listen endpoints: connect to every lower rank (announcing
+  /// ourselves with a hello), accept from every higher rank (identified by
+  /// theirs). Returns channels indexed by peer rank (self slot and slots
+  /// below first_peer null). Blocking; throws std::runtime_error on
+  /// timeout.
   std::vector<IChannel*> connect_mesh(int my_rank,
-                                      const std::vector<Endpoint>& table);
+                                      const std::vector<Endpoint>& table,
+                                      int first_peer);
 
   /// Drive the event loop once, non-blocking: collect readable sockets
   /// from the poller, advance their frame parsers, flush pending frames.
@@ -281,15 +268,25 @@ class TcpTransport final : public ITransport {
   /// return immediately — their completions were already queued for them).
   int pump();
 
-  [[nodiscard]] const TcpConfig& config() const { return config_; }
-
  private:
   friend class TcpChannel;
+  friend class Bootstrap;  ///< the rendezvous adopts its hello sockets
 
-  TcpChannel* adopt_fd(int fd, std::string name, bool uds);
+  /// A connection that opened with a valid hello.
+  struct Accepted {
+    sock::Fd fd;
+    Endpoint addr;  ///< the peer's advertised data listen endpoint
+  };
+
+  TcpChannel* adopt_fd(sock::Fd fd, std::string name, bool uds);
+  /// Accept on the listener until ranks [lo, hi) have each said hello.
+  /// A connection whose hello is malformed (sock::read_hello), out of range
+  /// or a duplicate is closed and logged, and accepting goes on; the
+  /// deadline throws. Returns the connections indexed by rank.
+  std::vector<Accepted> accept_peers(int lo, int hi, int64_t deadline_ms)
+      PIOM_EXCLUDES(state_lock_);
   void snapshot_channels(std::vector<TcpChannel*>& out) const;
 
-  TcpConfig config_;
   FdPoller poller_;
   sync::MutexLock pump_lock_;
   mutable sync::MutexLock state_lock_;  ///< channels_ + listener fields

@@ -6,6 +6,7 @@
 // completion on all three progress engines, in both World shapes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "mpi/world.hpp"
 #include "transport/bootstrap.hpp"
 #include "transport/endpoint.hpp"
+#include "transport/socket.hpp"
 
 namespace piom {
 namespace {
@@ -36,6 +38,23 @@ void with_bootstrapped_ranks(int nranks, const Endpoint& root_addr, Fn fn) {
   for (auto& t : threads) t.join();
 }
 
+/// Raw channel traffic ring: send my rank to rank+1, recv from rank-1.
+void expect_raw_ring(int rank, Bootstrap& bs) {
+  const int n = bs.nranks();
+  const int right = (rank + 1) % n;
+  const int left = (rank + n - 1) % n;
+  int32_t tx = rank, rx = -1;
+  transport::IChannel* to = bs.channels()[static_cast<std::size_t>(right)];
+  transport::IChannel* from = bs.channels()[static_cast<std::size_t>(left)];
+  from->post_recv(&rx, sizeof(rx), 1);
+  to->post_send(&tx, sizeof(tx), 2);
+  transport::Completion c{};
+  while (!from->poll_rx(c)) {
+  }
+  EXPECT_EQ(rx, left);
+  to->quiesce();
+}
+
 TEST(Bootstrap, WiresAFullMeshOverUnixSockets) {
   const Endpoint root_addr = Endpoint::uds("/tmp/piom-test-bs-mesh.sock");
   with_bootstrapped_ranks(3, root_addr, [](int rank, Bootstrap bs) {
@@ -52,20 +71,37 @@ TEST(Bootstrap, WiresAFullMeshOverUnixSockets) {
             bs.channels()[static_cast<std::size_t>(peer)]->connected());
       }
     }
-    // Raw channel traffic ring: send my rank to rank+1, recv from rank-1.
-    const int right = (rank + 1) % 3;
-    const int left = (rank + 2) % 3;
-    int32_t tx = rank, rx = -1;
-    transport::IChannel* to = bs.channels()[static_cast<std::size_t>(right)];
-    transport::IChannel* from = bs.channels()[static_cast<std::size_t>(left)];
-    from->post_recv(&rx, sizeof(rx), 1);
-    to->post_send(&tx, sizeof(tx), 2);
-    transport::Completion c{};
-    while (!from->poll_rx(c)) {
-    }
-    EXPECT_EQ(rx, left);
-    to->quiesce();
+    expect_raw_ring(rank, bs);
   });
+}
+
+TEST(Bootstrap, StrayConnectionsDoNotBreakTheRendezvous) {
+  // Hello bytes come from outside the process: a connection that sends
+  // junk, or hangs up before its hello, is dropped, and the root keeps
+  // accepting the real joiners.
+  namespace sock = transport::sock;
+  const Endpoint root_addr = Endpoint::uds("/tmp/piom-test-bs-stray.sock");
+  constexpr int kRanks = 3;
+  std::vector<std::thread> ranks;
+  ranks.emplace_back([&] {
+    Bootstrap bs = Bootstrap::root(kRanks, root_addr);
+    expect_raw_ring(0, bs);
+  });
+  {
+    // Both strays are queued on the root's listener ahead of any joiner.
+    const int64_t deadline = sock::setup_deadline_ms();
+    sock::Fd junk = sock::connect(root_addr, deadline);
+    const std::array<uint8_t, 16> bytes = {0xab, 0xcd, 0xef, 0x01};
+    sock::write_full(junk.get(), bytes.data(), bytes.size());
+    sock::Fd silent = sock::connect(root_addr, deadline);
+  }  // both close here
+  for (int rank = 1; rank < kRanks; ++rank) {
+    ranks.emplace_back([&, rank] {
+      Bootstrap bs = Bootstrap::join(rank, root_addr);
+      expect_raw_ring(rank, bs);
+    });
+  }
+  for (auto& t : ranks) t.join();
 }
 
 TEST(Bootstrap, WiresAFullMeshOverTcp) {

@@ -21,8 +21,8 @@ struct Env {
   TaskManager tm;
   Runtime rt;
 
-  explicit Env(topo::Machine m, RuntimeConfig cfg = {})
-      : machine(std::move(m)), tm(machine), rt(machine, tm, cfg) {}
+  explicit Env(topo::Machine m)
+      : machine(std::move(m)), tm(machine), rt(machine, tm) {}
 };
 
 TEST(Runtime, RunsSubmittedJobs) {
@@ -148,8 +148,7 @@ TEST(Runtime, TimerHookGuaranteesProgressWhenAllCoresBusy) {
   // never blocks; without the timer hook the polling task would starve.
   topo::Machine machine = topo::Machine::flat(2);
   TaskManager tm(machine);
-  RuntimeConfig cfg;
-  Runtime rt(machine, tm, cfg);
+  Runtime rt(machine, tm);
   TimerHook timer(tm, std::chrono::microseconds(200));
 
   std::atomic<bool> task_ran{false};

@@ -667,20 +667,19 @@ TEST(TcpChannel, RdmaReadRoundTripsOverTheWire) {
 }
 
 TEST(TcpChannel, ReportsModeledRailProperties) {
-  TcpConfig config;
-  config.uds_latency_us = 9.0;
-  config.bandwidth_GBps = 3.0;
-  ClusterConfig cc;
-  cc.tcp = config;
-  Cluster cluster(cc);
-  auto [a, b] = TcpTransport::create_loopback_pair(
-      cluster.tcp_node(0), cluster.tcp_node(1), "props",
-      Endpoint::Scheme::kUds);
-  EXPECT_DOUBLE_EQ(a->latency_us(), 9.0);
-  EXPECT_DOUBLE_EQ(b->bandwidth_GBps(), 3.0);
-  // The socket rail must advertise worse latency than shmem so hybrid
-  // rail selection keeps eager traffic on the fast path.
-  EXPECT_GT(a->latency_us(), ShmemConfig{}.latency_us);
+  // Hybrid rail selection keeps eager traffic on the lowest-latency rail,
+  // so the strategy relies on the ordering shmem < uds < tcp.
+  Cluster cluster;
+  auto [u, u_peer] = TcpTransport::create_loopback_pair(
+      cluster.tcp_node(0), cluster.tcp_node(1), "uds", Endpoint::Scheme::kUds);
+  auto [t, t_peer] = TcpTransport::create_loopback_pair(
+      cluster.tcp_node(0), cluster.tcp_node(1), "tcp", Endpoint::Scheme::kTcp);
+  EXPECT_LT(u->latency_us(), t->latency_us());
+  EXPECT_GT(u->latency_us(), ShmemConfig{}.latency_us);
+  EXPECT_GT(t->latency_us(), ShmemConfig{}.latency_us);
+  EXPECT_DOUBLE_EQ(u_peer->latency_us(), u->latency_us());
+  EXPECT_DOUBLE_EQ(t_peer->latency_us(), t->latency_us());
+  EXPECT_GT(u->bandwidth_GBps(), 0.0);
 }
 
 TEST(TcpTransportFace, FactoryFacesAgree) {

@@ -30,6 +30,12 @@ Rules
                        and simulated device is progressed by its callers'
                        poll paths (static members such as
                        std::thread::hardware_concurrency are fine).
+  socket-syscall       Raw ::socket/socketpair/bind/listen/accept/connect
+                       calls belong in src/transport/socket.cpp only:
+                       every setup socket goes through its helpers, so
+                       there is one listen, connect, accept and hello
+                       (qualified names such as TcpTransport::listen are
+                       not calls to the syscall).
 
 Usage: piom_lint.py [--root DIR]
 Scans DIR/src (C++ rules) and DIR/.github (CI rule). Prints one
@@ -173,12 +179,17 @@ RELAXED_DONE = re.compile(
 RESERVED_TAG = re.compile(r"0[xX][fF]{4,}")
 THREAD_SPAWN = re.compile(r"\bstd::j?thread\b(?!\s*::)|\bpthread_create\b")
 THREADLESS_DIRS = ("src/simnet/", "src/transport/", "src/aio/")
+SOCKET_SYSCALL = re.compile(
+    r"(?<![\w:])::(?:socket|socketpair|bind|listen|accept|connect)\s*\(")
+SOCKET_HELPER = "src/transport/socket.cpp"
 FOR_RANGE = re.compile(r"\bfor\s*\(.*?[&\s](\w+)\s*:\s*(\w+)\s*\)")
 
 
 def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
     lines = text.split("\n")
-    threadless = rel.replace(os.sep, "/").startswith(THREADLESS_DIRS)
+    rel_posix = rel.replace(os.sep, "/")
+    threadless = rel_posix.startswith(THREADLESS_DIRS)
+    socket_helper = rel_posix == SOCKET_HELPER
     depth = 0
     # (name, depth, store_line): objects whose completion store has landed.
     completed = []
@@ -216,6 +227,11 @@ def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
             findings.append((rel, lineno, "transport-thread",
                              "transport backends and devices own no thread "
                              "(progress them from the poll paths)"))
+        # --- rule: socket-syscall
+        if not socket_helper and SOCKET_SYSCALL.search(line):
+            findings.append((rel, lineno, "socket-syscall",
+                             "raw socket syscall outside %s (use the "
+                             "transport::sock helpers)" % SOCKET_HELPER))
         # --- rule: relaxed-done-store
         if RELAXED_DONE.search(line):
             findings.append((rel, lineno, "relaxed-done-store",

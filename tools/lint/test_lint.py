@@ -33,6 +33,10 @@ EXPECTED = {
     (os.path.join("src", "reserved_tag.cpp"), 2, "reserved-tag-literal"),
     (os.path.join("src", "transport", "io_thread.cpp"), 3,
      "transport-thread"),
+    (os.path.join("src", "transport", "raw_socket.cpp"), 6,
+     "socket-syscall"),
+    (os.path.join("src", "transport", "raw_socket.cpp"), 10,
+     "socket-syscall"),
     (os.path.join("src", "use_after_complete.cpp"), 6,
      "use-after-complete"),
 }
@@ -55,7 +59,8 @@ def main():
     rules_fired = {rule for _, _, rule in got}
     all_rules = {"use-after-complete", "callback-under-lock",
                  "reserved-tag-literal", "relaxed-done-store",
-                 "ctest-parallel-flag", "transport-thread"}
+                 "ctest-parallel-flag", "transport-thread",
+                 "socket-syscall"}
     if rules_fired != all_rules:
         fail("rules without fixture coverage: %s" %
              sorted(all_rules - rules_fired))
