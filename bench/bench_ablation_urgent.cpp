@@ -1,21 +1,20 @@
 // Ablation: preemptive (urgent) tasks — the paper's §VI future work,
-// implemented here via a dedicated IRQ service thread.
+// implemented here by the Runtime's interrupt thread.
 //
 // Scenario: every worker core runs a CPU-hungry job that never blocks. A
 // task is submitted and its submission-to-execution latency is measured:
-//   * normal task + timer hook  — waits for the next timer tick (paper's
-//     baseline guarantee, ~timer period);
-//   * urgent task + IRQ service — runs within a semaphore wake (~µs),
-//     "even on a distant CPU where a thread is computing".
+//   * normal task — waits for the interrupt thread's next timer tick
+//     (paper's baseline guarantee, ~timer period);
+//   * urgent task — wakes the interrupt thread at once and runs within a
+//     semaphore wake (~µs), "even on a distant CPU where a thread is
+//     computing".
 #include <atomic>
 #include <cstdio>
 #include <thread>
 
 #include "bench/common.hpp"
 #include "core/task_manager.hpp"
-#include "sched/irq.hpp"
 #include "sched/runtime.hpp"
-#include "sched/timer.hpp"
 #include "topo/machine.hpp"
 #include "util/stats.hpp"
 #include "util/timing.hpp"
@@ -35,8 +34,6 @@ double run_case(bool urgent, int iters) {
   const topo::Machine machine = topo::Machine::flat(4);
   TaskManager tm(machine);
   sched::Runtime rt(machine, tm);
-  sched::TimerHook timer(tm, std::chrono::microseconds(100));
-  sched::IrqService irq(tm);
 
   std::atomic<bool> stop{false};
   std::atomic<int> busy{0};
@@ -79,7 +76,7 @@ int main(int argc, char** argv) {
   const double normal_us = run_case(false, iters);
   const double urgent_us = run_case(true, iters);
   std::printf("%-28s %10.1f us\n", "normal task (timer rescue)", normal_us);
-  std::printf("%-28s %10.1f us\n", "urgent task (IRQ service)", urgent_us);
+  std::printf("%-28s %10.1f us\n", "urgent task (interrupt)", urgent_us);
   std::printf("%-28s %10.1fx\n", "speedup",
               urgent_us > 0 ? normal_us / urgent_us : 0.0);
   std::printf("\n");

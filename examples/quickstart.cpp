@@ -3,7 +3,7 @@
 // Shows the core API surface:
 //   1. describe the machine (here: the paper's 'kwak' topology),
 //   2. create a TaskManager (hierarchical queues mapped onto the topology),
-//   3. start a Runtime (one worker per core, with idle/timer hooks),
+//   3. start a Runtime (one worker per core plus an interrupt thread),
 //   4. submit tasks with CPU sets and let idle cores execute them.
 //
 // Build & run:  ./build/examples/quickstart
@@ -12,7 +12,6 @@
 
 #include "core/task_manager.hpp"
 #include "sched/runtime.hpp"
-#include "sched/timer.hpp"
 #include "topo/machine.hpp"
 
 using namespace piom;
@@ -29,10 +28,9 @@ int main() {
   TaskManager tm(machine);
 
   // 3. The runtime: workers occupy the simulated cores and run tasks from
-  //    their queue hierarchy whenever they are idle. The timer hook
-  //    guarantees progress even when all cores are busy.
+  //    their queue hierarchy whenever they are idle. Its interrupt thread's
+  //    timer tick guarantees progress even when all cores are busy.
   sched::Runtime runtime(machine, tm);
-  sched::TimerHook timer(tm, std::chrono::microseconds(100));
 
   // 4a. A one-shot task pinned to core 5: only core 5 may run it.
   std::atomic<int> where{-1};

@@ -33,9 +33,9 @@ enum TaskOptions : uint32_t {
   kTaskNotify = 1u << 1,
   /// Preemptive task (paper §VI future work): "tasks that can be executed
   /// immediately, even on a distant CPU where a thread is computing". It
-  /// goes to a dedicated urgent queue serviced out-of-band (sched::
-  /// IrqService) and ahead of every hierarchy queue by schedule(); the CPU
-  /// set becomes advisory.
+  /// goes to a dedicated urgent queue serviced out-of-band (the sched::
+  /// Runtime interrupt thread) and ahead of every hierarchy queue by
+  /// schedule(); the CPU set becomes advisory.
   kTaskUrgent = 1u << 2,
 };
 

@@ -155,11 +155,7 @@ void TaskManager::run_task(Task* task, ITaskQueue& queue, int cpu) {
 int TaskManager::drain_queue(ITaskQueue& queue, int cpu) {
   // Bound the pass by a snapshot of the current size so repeatable tasks we
   // re-enqueue (and tasks enqueued concurrently) do not trap us here.
-  std::size_t budget = queue.size_approx();
-  if (config_.max_tasks_per_pass > 0) {
-    budget = std::min<std::size_t>(
-        budget, static_cast<std::size_t>(config_.max_tasks_per_pass));
-  }
+  const std::size_t budget = queue.size_approx();
   int executed = 0;
   for (std::size_t i = 0; i < budget; ++i) {
     Task* task = queue.try_dequeue();
@@ -178,23 +174,19 @@ int TaskManager::drain_queue(ITaskQueue& queue, int cpu) {
 }
 
 int TaskManager::schedule(int cpu) {
-  int executed = schedule_from_level(cpu, topo::Level::kCore);
+  int executed = schedule_branch(cpu);
   // The whole branch is dry: go stealing (locality-ordered victim scan)
   // instead of idling while another branch overflows.
   if (executed == 0 && config_.steal) executed += steal(cpu);
   return executed;
 }
 
-int TaskManager::schedule_from_level(int cpu, topo::Level shallowest) {
+int TaskManager::schedule_branch(int cpu) {
   CoreStatsCell& cs = *core_stats_[static_cast<std::size_t>(cpu)];
   cs.schedule_calls.fetch_add(1, std::memory_order_relaxed);
-  // Urgent tasks first, regardless of the requested depth window.
   int executed = run_urgent(cpu);
   // Algorithm 1: "for Queue = Per_Core_Queue to Global_Queue do ..."
   for (const topo::TopoNode* node : machine_.path_to_root(cpu)) {
-    if (static_cast<int>(node->level) > static_cast<int>(shallowest)) {
-      continue;  // deeper than requested (e.g. timer services global only)
-    }
     executed += drain_queue(*queues_[static_cast<std::size_t>(node->id)], cpu);
   }
   cs.tasks_run.fetch_add(static_cast<uint64_t>(executed),
@@ -203,10 +195,6 @@ int TaskManager::schedule_from_level(int cpu, topo::Level shallowest) {
 }
 
 int TaskManager::steal(int cpu) {
-  return steal_bounded(cpu, config_.steal_batch);
-}
-
-int TaskManager::steal_bounded(int cpu, int max_batch) {
   // The single-global-queue strawman has no off-path queues to steal from.
   if (config_.single_global_queue) return 0;
   CoreStatsCell& cs = *core_stats_[static_cast<std::size_t>(cpu)];
@@ -214,23 +202,12 @@ int TaskManager::steal_bounded(int cpu, int max_batch) {
   constexpr int kMaxBatch = 32;
   Task* stolen[kMaxBatch];
   const std::size_t batch =
-      static_cast<std::size_t>(std::clamp(max_batch, 1, kMaxBatch));
+      static_cast<std::size_t>(std::clamp(config_.steal_batch, 1, kMaxBatch));
   std::size_t taken = 0;
-  if (config_.steal_locality) {
-    for (const topo::TopoNode* victim : machine_.steal_order(cpu)) {
-      taken = queues_[static_cast<std::size_t>(victim->id)]->try_steal(
-          cpu, batch, stolen);
-      if (taken > 0) break;
-    }
-  } else {
-    // Locality ablation: flat id-order scan over off-path nodes (a node is
-    // on `cpu`'s path exactly when its span covers `cpu`).
-    for (const auto& nptr : machine_.nodes()) {
-      if (nptr->cpus.test(cpu)) continue;
-      taken = queues_[static_cast<std::size_t>(nptr->id)]->try_steal(
-          cpu, batch, stolen);
-      if (taken > 0) break;
-    }
+  for (const topo::TopoNode* victim : machine_.steal_order(cpu)) {
+    taken = queues_[static_cast<std::size_t>(victim->id)]->try_steal(
+        cpu, batch, stolen);
+    if (taken > 0) break;
   }
   if (taken == 0) return 0;
   cs.steal_hits.fetch_add(1, std::memory_order_relaxed);
@@ -250,23 +227,6 @@ int TaskManager::steal_bounded(int cpu, int max_batch) {
   cs.tasks_run.fetch_add(static_cast<uint64_t>(executed),
                          std::memory_order_relaxed);
   return executed;
-}
-
-bool TaskManager::schedule_one(int cpu) {
-  for (const topo::TopoNode* node : machine_.path_to_root(cpu)) {
-    ITaskQueue& queue = *queues_[static_cast<std::size_t>(node->id)];
-    Task* task = queue.try_dequeue();
-    if (task == nullptr) continue;
-    if (!cpu_allowed(*task, cpu)) {
-      queue.enqueue(task);
-      continue;
-    }
-    run_task(task, queue, cpu);
-    CoreStatsCell& cs = *core_stats_[static_cast<std::size_t>(cpu)];
-    cs.tasks_run.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return config_.steal && steal_bounded(cpu, 1) > 0;
 }
 
 void TaskManager::wait(Task& task, int cpu) {

@@ -39,20 +39,12 @@ struct TaskManagerConfig {
   /// Ablation: ignore the hierarchy and put every task in the Global queue
   /// (the "naive solution" / big-lock strawman of §III).
   bool single_global_queue = false;
-  /// Upper bound on tasks run per queue per schedule() pass; 0 = drain a
-  /// size snapshot (default). Prevents one core from being stuck forever in
-  /// a queue where repeatable tasks keep re-enqueueing themselves.
-  int max_tasks_per_pass = 0;
   /// Topology-aware work stealing (extension — the paper names stealing as
   /// future work): when a core's own branch of the hierarchy is empty,
   /// schedule() scans victim queues in locality order and takes tasks whose
   /// CpuSet allows this core. With `steal=false` the scheduler reproduces
   /// the paper's Algorithm 1 exactly.
   bool steal = true;
-  /// Scan victims in Machine::steal_order() locality order (cache siblings
-  /// first, then chip, NUMA, machine). false = flat node-id order, the
-  /// locality ablation.
-  bool steal_locality = true;
   /// Max tasks taken from the first victim with eligible work per steal
   /// attempt (clamped to [1, 32]).
   int steal_batch = 1;
@@ -91,38 +83,36 @@ class TaskManager {
   /// waits for an allowed core under `node`. Urgent tasks ignore the hint.
   void submit_to(Task* task, const topo::TopoNode& node);
 
-  /// Algorithm 1, executed on behalf of core `cpu`: drain the Per-Core
-  /// queue, then each ancestor queue up to the Global queue. Repeatable
-  /// tasks that return kAgain are re-enqueued into the same queue. When the
-  /// whole branch is dry and config().steal is set, falls through to one
-  /// steal() attempt. Returns the number of task executions performed.
+  /// Algorithm 1 plus stealing: schedule_branch(), and when the whole
+  /// branch is dry and config().steal is set, one steal() attempt. Returns
+  /// the number of task executions performed.
   int schedule(int cpu);
 
+  /// Algorithm 1 exactly, executed on behalf of core `cpu`: the urgent
+  /// queue, then the Per-Core queue and each ancestor queue up to the
+  /// Global queue. Repeatable tasks that return kAgain are re-enqueued into
+  /// the same queue. Never steals. Returns task executions performed.
+  int schedule_branch(int cpu);
+
   /// One work-stealing attempt on behalf of `cpu`: scan victim queues in
-  /// locality order (config().steal_locality) and run up to
+  /// Machine::steal_order() locality order and run up to
   /// config().steal_batch eligible tasks from the first victim that yields
   /// any. Stolen repeatable tasks migrate: a kAgain re-enqueue goes to
   /// `cpu`'s per-core queue, not back to the victim. Returns tasks run.
   int steal(int cpu);
 
-  /// schedule() bounded to queues at or above `max_depth_level` — the timer
-  /// hook uses this to service only the Global queue.
-  int schedule_from_level(int cpu, topo::Level shallowest);
-
   /// Drain the urgent queue (kTaskUrgent tasks), ignoring CPU sets — the
   /// whole point of a preemptive task is to run NOW, wherever. Returns the
-  /// number of tasks executed. Called by schedule() and by the IrqService.
+  /// number of tasks executed. Called by schedule_branch() and by the
+  /// sched::Runtime interrupt thread.
   int run_urgent(int cpu);
 
   /// Install a callback fired (outside any lock) whenever an urgent task is
-  /// submitted; sched::IrqService uses it to wake its service thread.
+  /// submitted; sched::Runtime uses it to wake its interrupt thread.
   void set_urgent_notifier(std::function<void()> notifier);
 
   /// Urgent tasks currently queued (approximate).
   [[nodiscard]] std::size_t urgent_pending_approx() const;
-
-  /// Run at most one task on behalf of `cpu`. Returns true if one ran.
-  bool schedule_one(int cpu);
 
   /// Progressive wait (how blocking calls contribute): schedule on `cpu`
   /// until `task` completes. Requires the task to be reachable from `cpu`
@@ -168,8 +158,6 @@ class TaskManager {
   int drain_queue(ITaskQueue& queue, int cpu);
   /// Execute one task; re-enqueue on kAgain+kRepeat; returns kDone-or-not.
   void run_task(Task* task, ITaskQueue& queue, int cpu);
-  /// steal() bounded to `max_batch` tasks (schedule_one steals single).
-  int steal_bounded(int cpu, int max_batch);
 
   const topo::Machine& machine_;
   TaskManagerConfig config_;

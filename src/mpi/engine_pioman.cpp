@@ -1,24 +1,17 @@
 #include "mpi/engine_pioman.hpp"
 
-#include <chrono>
-
 #include "mpi/coll.hpp"
 #include "nmad/wildset.hpp"
 #include "util/log.hpp"
 
 namespace piom::mpi {
 
-namespace {
-constexpr std::chrono::microseconds kTimerPeriod{100};
-}  // namespace
-
 PiomanEngine::PiomanEngine(nmad::Session& session, PiomanEngineConfig config)
     : session_(session),
       config_(config),
       machine_(topo::Machine::flat(config.workers)),
       tm_(machine_),
-      runtime_(machine_, tm_),
-      timer_(tm_, kTimerPeriod) {}
+      runtime_(machine_, tm_) {}
 
 PiomanEngine::~PiomanEngine() { shutdown(); }
 
@@ -203,7 +196,6 @@ void PiomanEngine::shutdown() {
   for (PollTask* pt : draining) {
     pt->task.wait_done();
   }
-  timer_.stop();
   runtime_.stop();
 }
 

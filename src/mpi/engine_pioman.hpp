@@ -2,7 +2,8 @@
 //
 //   * One repeatable polling task per (gate, rail), submitted to the task
 //     manager with a cpuset of cores sharing a cache (paper §IV-B), executed
-//     by idle runtime workers and by the timer hook when everyone is busy.
+//     by idle runtime workers and by the runtime's interrupt thread when
+//     everyone is busy.
 //   * isend defers packet submission and offloads it as a task placed on the
 //     nearest idle core ("the state of each core is evaluated in order to
 //     find an idle core that could process the task"); if every core is
@@ -21,7 +22,6 @@
 #include "mpi/engine.hpp"
 #include "nmad/session.hpp"
 #include "sched/runtime.hpp"
-#include "sched/timer.hpp"
 
 namespace piom::mpi {
 
@@ -97,8 +97,6 @@ class PiomanEngine final : public Engine {
   topo::Machine machine_;
   TaskManager tm_;
   sched::Runtime runtime_;
-  /// Timer-interrupt hook (progress guarantee under full CPU load).
-  sched::TimerHook timer_;
   /// Poll-task table. The deque grows while tasks run (late gates), so the
   /// lock guards every structural access; PollTask storage is stable once
   /// emplaced. watched_ dedups watch_gate; home_ round-robins task

@@ -3,7 +3,7 @@
 //   topo    — CPU sets, machine topology (paper Fig 2/3)
 //   sync    — spinlocks, semaphore, cache alignment
 //   core    — Task, hierarchical TaskManager (paper §III, Algorithms 1 & 2)
-//   sched   — worker runtime + idle/blocking/timer/IRQ hooks (MARCEL role)
+//   sched   — worker runtime + idle/blocking/interrupt hooks (MARCEL role)
 //   simnet  — simulated NICs/fabric with RDMA and fault injection
 //   nmad    — communication library: eager/rendezvous, strategies,
 //             reliability (NewMadeleine role)
@@ -21,9 +21,7 @@
 #include "core/lf_queue.hpp"        // IWYU pragma: export
 #include "mpi/world.hpp"            // IWYU pragma: export
 #include "nmad/session.hpp"         // IWYU pragma: export
-#include "sched/irq.hpp"            // IWYU pragma: export
 #include "sched/runtime.hpp"        // IWYU pragma: export
-#include "sched/timer.hpp"          // IWYU pragma: export
 #include "simnet/fabric.hpp"        // IWYU pragma: export
 #include "sync/semaphore.hpp"       // IWYU pragma: export
 #include "sync/spinlock.hpp"        // IWYU pragma: export

@@ -1,13 +1,22 @@
 // sched::Runtime — stand-in for the MARCEL thread scheduler the paper hooks
 // into. It owns one worker thread per simulated core (pinned to a host CPU
-// when permitted) and invokes the TaskManager at the same keypoints MARCEL
-// triggers PIOMan:
+// when permitted) plus one interrupt thread, and invokes the TaskManager at
+// the same keypoints MARCEL triggers PIOMan:
 //   * CPU idleness      — a worker with no application job schedules tasks;
 //   * blocking sections — BlockingSection RAII schedules before parking
 //                         (paper: "a thread enters a blocking section ...
 //                         the task is processed");
-//   * timer interrupt   — see sched/timer.hpp: a periodic thread guarantees
-//                         progress even when every core runs CPU-hungry jobs.
+//   * timer interrupt   — the interrupt thread runs a progression pass on
+//                         behalf of one core (round-robin) every kTimerPeriod
+//                         (§III: "Adding hooks at other keypoints of the
+//                         thread scheduling such as timer interrupt ...
+//                         permits to ensure a progression of communication"),
+//                         so progress never needs an idle core;
+//   * urgent tasks      — the same thread is woken the instant a kTaskUrgent
+//                         task is submitted and runs it "even on a distant CPU
+//                         where a thread is computing" (§VI preemptive tasks).
+//                         A real system would use an inter-processor
+//                         interrupt; here it is one semaphore wake.
 #pragma once
 
 #include <atomic>
@@ -21,6 +30,7 @@
 #include <vector>
 
 #include "core/task_manager.hpp"
+#include "sync/semaphore.hpp"
 #include "topo/machine.hpp"
 
 namespace piom::sched {
@@ -34,7 +44,9 @@ enum class WorkerState : uint8_t {
 
 class Runtime {
  public:
-  /// `machine` and `tm` must outlive the runtime. Spawns ncpus() workers.
+  /// `machine` and `tm` must outlive the runtime. Spawns ncpus() workers
+  /// and the interrupt thread, and installs itself as `tm`'s urgent
+  /// notifier until stop().
   Runtime(const topo::Machine& machine, TaskManager& tm);
   ~Runtime();
 
@@ -50,9 +62,6 @@ class Runtime {
 
   /// Occupancy of core `cpu`.
   [[nodiscard]] WorkerState worker_state(int cpu) const;
-  [[nodiscard]] bool is_idle(int cpu) const {
-    return worker_state(cpu) == WorkerState::kIdle;
-  }
 
   /// Nearest idle core to `cpu` by topology distance (same cache, then same
   /// chip/NUMA node, then anywhere), excluding `cpu` itself; -1 when every
@@ -70,10 +79,23 @@ class Runtime {
     return jobs_run_.load(std::memory_order_relaxed);
   }
 
+  /// Timer ticks the interrupt thread has fired so far.
+  [[nodiscard]] uint64_t ticks() const {
+    return ticks_.load(std::memory_order_relaxed);
+  }
+
+  /// Tasks the interrupt thread ran, from ticks and urgent wakes (tests:
+  /// proves the rescue path actually runs tasks when all cores are busy).
+  [[nodiscard]] uint64_t interrupt_tasks_run() const {
+    return interrupt_tasks_run_.load(std::memory_order_relaxed);
+  }
+
   /// Wait until every submitted job has finished and all workers are idle.
   void quiesce();
 
-  void stop();  ///< join all workers (idempotent; called by dtor)
+  /// Join the interrupt thread, after a final urgent sweep, then all
+  /// workers (idempotent; called by dtor).
+  void stop();
 
   [[nodiscard]] TaskManager& task_manager() { return tm_; }
   [[nodiscard]] const topo::Machine& machine() const { return machine_; }
@@ -92,6 +114,7 @@ class Runtime {
   };
 
   void worker_loop(int cpu);
+  void interrupt_loop(int creator_cpu);
   static void pin_to_host_cpu(int cpu);
 
   const topo::Machine& machine_;
@@ -100,6 +123,13 @@ class Runtime {
   std::atomic<bool> running_{true};
   std::atomic<uint64_t> jobs_run_{0};
   std::atomic<uint64_t> jobs_submitted_{0};
+  /// Posted by the urgent notifier and by stop().
+  sync::Semaphore interrupts_{0};
+  /// Host CPU of the latest urgent submitter.
+  std::atomic<int> poster_cpu_{-1};
+  std::atomic<uint64_t> ticks_{0};
+  std::atomic<uint64_t> interrupt_tasks_run_{0};
+  std::thread interrupt_thread_;
 };
 
 /// RAII blocking-section hook. A thread about to block (e.g. on a request

@@ -14,21 +14,47 @@ void Semaphore::post() {
   }
 }
 
-void Semaphore::wait(int spin_iterations) {
+bool Semaphore::spin_then_register(int spin_iterations) {
   // Fast path / bounded spin: completions from the progression engine are
   // typically a few µs away, cheaper to spin than to park. Plain relax —
   // NOT exponential backoff — so the spin phase stays a few µs total and a
   // machine full of waiting threads (Fig 4 at 128 threads) does not burn
   // whole cores before parking.
   for (int i = 0; i < spin_iterations; ++i) {
-    if (try_wait()) return;
+    if (try_wait()) return true;
     cpu_relax();
   }
   const int prev = count_.fetch_sub(1, std::memory_order_acquire);
-  if (prev > 0) return;  // grabbed an available unit after all
+  return prev > 0;  // grabbed an available unit after all
+}
+
+void Semaphore::wait(int spin_iterations) {
+  if (spin_then_register(spin_iterations)) return;
   std::unique_lock<std::mutex> lk(mutex_);
   cv_.wait(lk, [this] { return wakeups_ > 0; });
   --wakeups_;
+}
+
+bool Semaphore::wait_for(std::chrono::microseconds timeout,
+                         int spin_iterations) {
+  if (spin_then_register(spin_iterations)) return true;
+  std::unique_lock<std::mutex> lk(mutex_);
+  if (!cv_.wait_for(lk, timeout, [this] { return wakeups_ > 0; })) {
+    // Timed out. While count_ < 0 some registered waiter is still
+    // unclaimed: withdraw ours. Otherwise a post() already counted this
+    // waiter and its wakeup is in flight (it needs mutex_, held here), so
+    // take the unit rather than leak it.
+    int cur = count_.load(std::memory_order_relaxed);
+    while (cur < 0) {
+      if (count_.compare_exchange_weak(cur, cur + 1,
+                                       std::memory_order_relaxed)) {
+        return false;
+      }
+    }
+    cv_.wait(lk, [this] { return wakeups_ > 0; });
+  }
+  --wakeups_;
+  return true;
 }
 
 bool Semaphore::try_wait() {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -26,6 +27,11 @@ class Semaphore {
   /// parking on the condvar.
   void wait(int spin_iterations = 4096);
 
+  /// P() with a deadline: spins up to `spin_iterations`, then parks for at
+  /// most `timeout`. True when a unit was taken; false on timeout, with the
+  /// count left exactly as if this call had never been made.
+  bool wait_for(std::chrono::microseconds timeout, int spin_iterations);
+
   /// Non-blocking P(). True on success.
   bool try_wait();
 
@@ -35,6 +41,9 @@ class Semaphore {
   }
 
  private:
+  /// Spin, then register as a waiter. True when a unit was taken.
+  bool spin_then_register(int spin_iterations);
+
   // count_ >= 0: available units. count_ < 0: -count_ parked waiters.
   std::atomic<int> count_;
   std::mutex mutex_;

@@ -66,7 +66,8 @@ Bootstrap Bootstrap::join(int rank, const Endpoint& root_addr) {
   // root refused the hello (say, a second joiner claiming this rank).
   uint32_t count = 0;
   if (!sock::read_full(fd.get(), &count, sizeof(count), deadline)) {
-    throw std::runtime_error("Bootstrap::join: root closed the rendezvous");
+    throw std::runtime_error(
+        "Bootstrap::join: root closed the rendezvous or timed out");
   }
   if (count < 2 || rank >= static_cast<int>(count) || count > 4096) {
     throw std::runtime_error("Bootstrap::join: bogus table size");

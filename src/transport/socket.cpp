@@ -158,9 +158,7 @@ void write_full(int fd, const void* buf, std::size_t len) {
 bool read_full(int fd, void* buf, std::size_t len, int64_t deadline_ms) {
   auto* p = static_cast<uint8_t*>(buf);
   while (len > 0) {
-    if (!wait_readable(fd, deadline_ms)) {
-      throw std::runtime_error("socket: setup read timeout");
-    }
+    if (!wait_readable(fd, deadline_ms)) return false;
     const ssize_t n = ::read(fd, p, len);
     if (n == 0) return false;
     if (n < 0) {

@@ -77,7 +77,7 @@ struct Listener {
 void write_full(int fd, const void* buf, std::size_t len);
 
 /// Blocking read of exactly `len` bytes. False when the peer closed (or
-/// reset) the connection first; throws at the deadline.
+/// reset) the connection first, or at the deadline.
 [[nodiscard]] bool read_full(int fd, void* buf, std::size_t len,
                              int64_t deadline_ms);
 
@@ -99,8 +99,9 @@ struct Hello {
 };
 void write_hello(int fd, int rank, const Endpoint& addr);
 /// False when the bytes are not a hello: wrong magic, implausible or
-/// unparsable URI, EOF before the end. Hello bytes come from outside the
-/// process, so a caller closes such a connection and keeps accepting.
+/// unparsable URI, EOF or the deadline before the end. Hello bytes come
+/// from outside the process, so a caller closes such a connection and
+/// keeps accepting.
 [[nodiscard]] bool read_hello(int fd, Hello& out, int64_t deadline_ms);
 
 }  // namespace piom::transport::sock

@@ -31,6 +31,9 @@ constexpr double kBandwidthGBps = 2.0;
 /// Frame-length sanity cap: a length prefix above this kills the connection
 /// (a corrupt or misframed stream must not allocate GBs).
 constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
+/// How long an accepted setup connection may take to send its hello before
+/// it is dropped (capped by the whole setup deadline).
+constexpr int64_t kHelloTimeoutMs = 1'000;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -705,12 +708,16 @@ std::vector<TcpTransport::Accepted> TcpTransport::accept_peers(
   }
   for (int outstanding = hi - lo; outstanding > 0;) {
     sock::Fd fd = sock::accept(lfd, deadline_ms);
+    // A connection that stays silent must not hold up the joiners queued
+    // behind it: its hello gets kHelloTimeoutMs, not the whole setup.
+    const int64_t hello_deadline =
+        std::min(deadline_ms, sock::now_ms() + kHelloTimeoutMs);
     sock::Hello hello;
-    if (!sock::read_hello(fd.get(), hello, deadline_ms) || hello.rank < lo ||
-        hello.rank >= hi ||
+    if (!sock::read_hello(fd.get(), hello, hello_deadline) ||
+        hello.rank < lo || hello.rank >= hi ||
         out[static_cast<std::size_t>(hello.rank)].fd.valid()) {
-      PIOM_LOG_WARN("tcp transport: dropping a connection with a bad hello "
-                    "(rank %d, expected [%d, %d))",
+      PIOM_LOG_WARN("tcp transport: dropping a connection with a bad or "
+                    "missing hello (rank %d, expected [%d, %d))",
                     hello.rank, lo, hi);
       continue;
     }

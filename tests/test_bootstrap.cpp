@@ -104,6 +104,31 @@ TEST(Bootstrap, StrayConnectionsDoNotBreakTheRendezvous) {
   for (auto& t : ranks) t.join();
 }
 
+TEST(Bootstrap, SilentConnectionDoesNotStallTheRendezvous) {
+  // A connection that opens and then says nothing, and stays open, gets a
+  // short hello deadline of its own; the joiners queued behind it must not
+  // wait out the whole setup timeout.
+  namespace sock = transport::sock;
+  const Endpoint root_addr = Endpoint::uds("/tmp/piom-test-bs-silent.sock");
+  constexpr int kRanks = 3;
+  const int64_t t0 = sock::now_ms();
+  std::vector<std::thread> ranks;
+  ranks.emplace_back([&] {
+    Bootstrap bs = Bootstrap::root(kRanks, root_addr);
+    expect_raw_ring(0, bs);
+  });
+  // Queued on the root's listener ahead of any joiner, open until the end.
+  sock::Fd silent = sock::connect(root_addr, sock::setup_deadline_ms());
+  for (int rank = 1; rank < kRanks; ++rank) {
+    ranks.emplace_back([&, rank] {
+      Bootstrap bs = Bootstrap::join(rank, root_addr);
+      expect_raw_ring(rank, bs);
+    });
+  }
+  for (auto& t : ranks) t.join();
+  EXPECT_LT(sock::now_ms() - t0, 5'000);
+}
+
 TEST(Bootstrap, WiresAFullMeshOverTcp) {
   // Fixed port: joiners must know the root's control address up front
   // (ephemeral ports only work for the *data* listeners, whose resolved

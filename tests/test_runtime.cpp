@@ -1,15 +1,13 @@
 // Tests for the sched::Runtime worker pool and its hooks (idle, blocking,
-// timer): the integration points the paper relies on for background
-// progression.
+// the interrupt thread's timer tick): the integration points the paper
+// relies on for background progression.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "core/task_manager.hpp"
 #include "sched/runtime.hpp"
-#include "sched/timer.hpp"
 #include "sync/semaphore.hpp"
 #include "util/timing.hpp"
 
@@ -143,25 +141,27 @@ TEST(Runtime, BlockingSectionSchedulesBeforeParking) {
   EXPECT_TRUE(t.completed());
 }
 
-TEST(Runtime, TimerHookGuaranteesProgressWhenAllCoresBusy) {
+TEST(Runtime, BareRuntimeRescuesTasksWhenAllCoresBusy) {
   // The paper's deadlock scenario: every core runs a CPU-hungry job that
-  // never blocks; without the timer hook the polling task would starve.
+  // never blocks; without the timer tick the polling task would starve.
+  // A bare Runtime must rescue it: no hook is built by the caller.
   topo::Machine machine = topo::Machine::flat(2);
   TaskManager tm(machine);
   Runtime rt(machine, tm);
-  TimerHook timer(tm, std::chrono::microseconds(200));
 
   std::atomic<bool> task_ran{false};
   std::atomic<bool> stop_jobs{false};
+  std::atomic<int> busy{0};
   // Occupy both workers with spinning jobs.
   for (int c = 0; c < 2; ++c) {
     rt.submit_job(c, [&] {
+      busy.fetch_add(1);
       while (!stop_jobs.load(std::memory_order_acquire)) {
         // busy: never yields to the idle hook
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  while (busy.load() < 2) std::this_thread::yield();
   Task t;
   t.init(
       [](void* arg) {
@@ -170,13 +170,20 @@ TEST(Runtime, TimerHookGuaranteesProgressWhenAllCoresBusy) {
       },
       &task_ran, topo::CpuSet::single(0), kTaskNone);
   tm.submit(&t);
+  // The interrupt thread counts a task after schedule() returns, so wait
+  // for the count too. Checked while the jobs still spin, so no worker can
+  // have run the task.
   const int64_t deadline = util::now_ns() + 2'000'000'000;
-  while (!t.completed() && util::now_ns() < deadline) std::this_thread::yield();
+  while ((!t.completed() || rt.interrupt_tasks_run() == 0) &&
+         util::now_ns() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(t.completed()) << "the timer tick failed to rescue the task";
+  EXPECT_TRUE(task_ran.load());
+  EXPECT_GT(rt.ticks(), 0u);
+  EXPECT_GE(rt.interrupt_tasks_run(), 1u);
   stop_jobs.store(true);
   rt.quiesce();
-  EXPECT_TRUE(task_ran.load()) << "timer hook failed to rescue the task";
-  EXPECT_GT(timer.ticks(), 0u);
-  EXPECT_GE(timer.tasks_run(), 1u);
 }
 
 TEST(Runtime, StressJobsAndTasksTogether) {

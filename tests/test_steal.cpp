@@ -157,18 +157,6 @@ TEST_F(StealKwak, StealBatchTakesSeveralFromOneVictim) {
   EXPECT_EQ(tm.core_stats(0).tasks_stolen, 8u);
 }
 
-TEST_F(StealKwak, FlatOrderAblationStillFindsWork) {
-  TaskManagerConfig cfg;
-  cfg.steal_locality = false;
-  TaskManager tm(machine_, cfg);
-  Counter c;
-  Task t;
-  t.init(&count_hit, &c, {}, kTaskNone);
-  tm.submit_to(&t, machine_.core_node(12));
-  EXPECT_EQ(tm.schedule(0), 1);
-  EXPECT_TRUE(t.completed());
-}
-
 TEST_F(StealKwak, UrgentTasksIgnoreTheLocalityHint) {
   Counter c;
   Task t;
@@ -195,21 +183,9 @@ TEST_F(StealKwak, ResetStatsClearsStealCounters) {
   EXPECT_EQ(cs.tasks_run, 0u);
 }
 
-TEST_F(StealKwak, ScheduleOneFallsBackToSingleSteal) {
-  Counter c;
-  std::deque<Task> tasks(3);
-  for (auto& t : tasks) {
-    t.init(&count_hit, &c, {}, kTaskNone);
-    tm_.submit_to(&t, machine_.core_node(12));
-  }
-  EXPECT_TRUE(tm_.schedule_one(0));
-  EXPECT_EQ(c.hits.load(), 1);  // exactly one, despite three available
-}
-
 // With stealing disabled the scheduler must behave exactly like the
 // pre-stealing Algorithm 1: locality-hinted tasks outside a core's branch
-// are invisible to it, pass bounds are unchanged, and no steal counter
-// ever moves.
+// are invisible to it, and no steal counter ever moves.
 TEST(StealAblation, NoStealReproducesAlgorithm1) {
   const topo::Machine m = topo::Machine::kwak();
   TaskManagerConfig cfg;
@@ -223,7 +199,6 @@ TEST(StealAblation, NoStealReproducesAlgorithm1) {
   for (int pass = 0; pass < 3; ++pass) {
     for (const int cpu : {0, 1, 4, 8, 15}) {
       EXPECT_EQ(tm.schedule(cpu), 0);
-      EXPECT_FALSE(tm.schedule_one(cpu));
     }
   }
   EXPECT_EQ(tm.queue_of(m.core_node(12)).size_approx(), 1u);
@@ -240,27 +215,6 @@ TEST(StealAblation, NoStealReproducesAlgorithm1) {
     const QueueStats qs = tm.queue_of(*n).stats();
     EXPECT_EQ(qs.steal_hits + qs.steal_misses + qs.stolen_tasks, 0u);
   }
-}
-
-TEST(StealAblation, PassBoundsUnchangedWithoutSteal) {
-  // Mirror of TaskManagerConfig.MaxTasksPerPassBounds with steal off: the
-  // per-pass schedule() return sequence must be bit-for-bit the pre-PR one.
-  const topo::Machine m = topo::Machine::flat(2);
-  TaskManagerConfig cfg;
-  cfg.steal = false;
-  cfg.max_tasks_per_pass = 3;
-  TaskManager tm(m, cfg);
-  Counter c;
-  std::deque<Task> tasks(10);
-  for (auto& t : tasks) {
-    t.init(&count_hit, &c, topo::CpuSet::single(0), kTaskNone);
-    tm.submit(&t);
-  }
-  EXPECT_EQ(tm.schedule(0), 3);
-  EXPECT_EQ(tm.schedule(0), 3);
-  EXPECT_EQ(tm.schedule(0), 3);
-  EXPECT_EQ(tm.schedule(0), 1);
-  EXPECT_EQ(tm.schedule(0), 0);
 }
 
 TEST(StealAblation, SingleGlobalQueueNeverSteals) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -179,6 +180,40 @@ TEST(Semaphore, ManyProducersManyConsumers) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
   EXPECT_EQ(sem.value(), 0);
+}
+
+TEST(Semaphore, WaitForTimesOut) {
+  Semaphore sem;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(sem.wait_for(std::chrono::microseconds(2'000), 16));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::microseconds(2'000));
+  EXPECT_EQ(sem.value(), 0);  // the timed-out waiter withdrew
+  sem.post();
+  EXPECT_TRUE(sem.wait_for(std::chrono::microseconds(2'000), 0));
+  EXPECT_EQ(sem.value(), 0);
+}
+
+TEST(Semaphore, WaitForRacingPostKeepsTheCount) {
+  // Timeouts short enough to land while a post() is in flight: a timed-out
+  // waiter must neither lose that unit nor leave a stray wakeup behind.
+  Semaphore sem;
+  constexpr int kPosts = 20'000;
+  std::atomic<bool> posting{true};
+  int takes = 0;
+  std::thread waiter([&] {
+    while (posting.load(std::memory_order_acquire)) {
+      if (sem.wait_for(std::chrono::microseconds(1), 0)) ++takes;
+    }
+  });
+  for (int i = 0; i < kPosts; ++i) {
+    sem.post();
+    for (int k = 0; k < (i % 64); ++k) cpu_relax();
+  }
+  posting.store(false, std::memory_order_release);
+  waiter.join();
+  EXPECT_GT(takes, 0);
+  EXPECT_EQ(sem.value(), kPosts - takes);
 }
 
 TEST(CacheAligned, SeparatesLines) {

@@ -148,35 +148,6 @@ TEST_F(TaskManagerKwak, NonRepeatTaskIgnoresAgain) {
   EXPECT_EQ(tm_.pending_approx(), 0u);
 }
 
-TEST_F(TaskManagerKwak, ScheduleOneRunsExactlyOne) {
-  Counter c;
-  Task a, b;
-  a.init(&count_hit, &c, topo::CpuSet::single(0), kTaskNone);
-  b.init(&count_hit, &c, topo::CpuSet::single(0), kTaskNone);
-  tm_.submit(&a);
-  tm_.submit(&b);
-  EXPECT_TRUE(tm_.schedule_one(0));
-  EXPECT_EQ(c.hits.load(), 1);
-  EXPECT_TRUE(tm_.schedule_one(0));
-  EXPECT_EQ(c.hits.load(), 2);
-  EXPECT_FALSE(tm_.schedule_one(0));
-}
-
-TEST_F(TaskManagerKwak, ScheduleFromLevelServicesOnlyShallowQueues) {
-  Counter c;
-  Task local, global;
-  local.init(&count_hit, &c, topo::CpuSet::single(0), kTaskNone);
-  global.init(&count_hit, &c, {}, kTaskNone);
-  tm_.submit(&local);
-  tm_.submit(&global);
-  // Machine-level pass: runs the global task, leaves the per-core one.
-  EXPECT_EQ(tm_.schedule_from_level(0, topo::Level::kMachine), 1);
-  EXPECT_FALSE(local.completed());
-  EXPECT_TRUE(global.completed());
-  EXPECT_EQ(tm_.schedule(0), 1);
-  EXPECT_TRUE(local.completed());
-}
-
 TEST_F(TaskManagerKwak, WaitDrivesProgress) {
   struct Poll {
     int remaining = 50;
@@ -253,28 +224,9 @@ TEST(TaskManagerConfig, AllQueueKindsWork) {
   }
 }
 
-TEST(TaskManagerConfig, MaxTasksPerPassBounds) {
-  const topo::Machine m = topo::Machine::flat(2);
-  TaskManagerConfig cfg;
-  cfg.max_tasks_per_pass = 3;
-  TaskManager tm(m, cfg);
-  Counter c;
-  std::deque<Task> tasks(10);
-  for (auto& t : tasks) {
-    t.init(&count_hit, &c, topo::CpuSet::single(0), kTaskNone);
-    tm.submit(&t);
-  }
-  EXPECT_EQ(tm.schedule(0), 3);
-  EXPECT_EQ(tm.schedule(0), 3);
-  EXPECT_EQ(tm.schedule(0), 3);
-  EXPECT_EQ(tm.schedule(0), 1);
-}
-
 TEST(TaskManagerConcurrency, ManyCoresDrainSharedQueue) {
   const topo::Machine m = topo::Machine::kwak();
-  TaskManagerConfig cfg;
-  cfg.max_tasks_per_pass = 8;  // force sharing: no single pass drains it all
-  TaskManager tm(m, cfg);
+  TaskManager tm(m);
   constexpr int kTasks = 4'000;
   Counter c;
   std::deque<Task> tasks(kTasks);

@@ -25,11 +25,13 @@ Rules
   ctest-parallel-flag  CI must spell `ctest --parallel N`, never bare
                        `ctest ... -j` (a bare -j swallows the next
                        argument).
-  transport-thread     No thread may be spawned or owned in src/simnet/,
-                       src/transport/ or src/aio/: every transport backend
-                       and simulated device is progressed by its callers'
-                       poll paths (static members such as
-                       std::thread::hardware_concurrency are fine).
+  thread-owner         No thread may be spawned or owned anywhere in src/
+                       except src/sched/runtime.{hpp,cpp}: the Runtime's
+                       workers and its interrupt thread are the only
+                       threads the library starts; transport backends,
+                       devices and hooks are progressed from them (static
+                       members such as std::thread::hardware_concurrency
+                       are fine).
   socket-syscall       Raw ::socket/socketpair/bind/listen/accept/connect
                        calls belong in src/transport/socket.cpp only:
                        every setup socket goes through its helpers, so
@@ -178,7 +180,7 @@ RELAXED_DONE = re.compile(
     r"\b\w*done\w*\.store\s*\(\s*(?:1|true)\b[^;]*memory_order_relaxed")
 RESERVED_TAG = re.compile(r"0[xX][fF]{4,}")
 THREAD_SPAWN = re.compile(r"\bstd::j?thread\b(?!\s*::)|\bpthread_create\b")
-THREADLESS_DIRS = ("src/simnet/", "src/transport/", "src/aio/")
+THREAD_OWNERS = ("src/sched/runtime.hpp", "src/sched/runtime.cpp")
 SOCKET_SYSCALL = re.compile(
     r"(?<![\w:])::(?:socket|socketpair|bind|listen|accept|connect)\s*\(")
 SOCKET_HELPER = "src/transport/socket.cpp"
@@ -188,7 +190,7 @@ FOR_RANGE = re.compile(r"\bfor\s*\(.*?[&\s](\w+)\s*:\s*(\w+)\s*\)")
 def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
     lines = text.split("\n")
     rel_posix = rel.replace(os.sep, "/")
-    threadless = rel_posix.startswith(THREADLESS_DIRS)
+    thread_owner = rel_posix in THREAD_OWNERS
     socket_helper = rel_posix == SOCKET_HELPER
     depth = 0
     # (name, depth, store_line): objects whose completion store has landed.
@@ -222,11 +224,11 @@ def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
             findings.append((rel, lineno, "reserved-tag-literal",
                              "reserved-tag-space literal outside "
                              "src/nmad/types.hpp (move it there)"))
-        # --- rule: transport-thread
-        if threadless and THREAD_SPAWN.search(line):
-            findings.append((rel, lineno, "transport-thread",
-                             "transport backends and devices own no thread "
-                             "(progress them from the poll paths)"))
+        # --- rule: thread-owner
+        if not thread_owner and THREAD_SPAWN.search(line):
+            findings.append((rel, lineno, "thread-owner",
+                             "only sched::Runtime owns threads (progress "
+                             "this from its workers or interrupt thread)"))
         # --- rule: socket-syscall
         if not socket_helper and SOCKET_SYSCALL.search(line):
             findings.append((rel, lineno, "socket-syscall",

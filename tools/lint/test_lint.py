@@ -22,7 +22,7 @@ import piom_lint  # noqa: E402
 EXPECTED = {
     (os.path.join(".github", "workflows", "ci.yml"), 4,
      "ctest-parallel-flag"),
-    (os.path.join("src", "aio", "engine.cpp"), 4, "transport-thread"),
+    (os.path.join("src", "aio", "engine.cpp"), 4, "thread-owner"),
     (os.path.join("src", "callback_under_lock.cpp"), 10,
      "callback-under-lock"),
     (os.path.join("src", "callback_under_lock.cpp"), 15,
@@ -31,8 +31,10 @@ EXPECTED = {
      "callback-under-lock"),
     (os.path.join("src", "relaxed_done.cpp"), 4, "relaxed-done-store"),
     (os.path.join("src", "reserved_tag.cpp"), 2, "reserved-tag-literal"),
+    (os.path.join("src", "sched", "timer.cpp"), 4, "thread-owner"),
+    (os.path.join("src", "sched", "timer.cpp"), 5, "thread-owner"),
     (os.path.join("src", "transport", "io_thread.cpp"), 3,
-     "transport-thread"),
+     "thread-owner"),
     (os.path.join("src", "transport", "raw_socket.cpp"), 6,
      "socket-syscall"),
     (os.path.join("src", "transport", "raw_socket.cpp"), 10,
@@ -59,7 +61,7 @@ def main():
     rules_fired = {rule for _, _, rule in got}
     all_rules = {"use-after-complete", "callback-under-lock",
                  "reserved-tag-literal", "relaxed-done-store",
-                 "ctest-parallel-flag", "transport-thread",
+                 "ctest-parallel-flag", "thread-owner",
                  "socket-syscall"}
     if rules_fired != all_rules:
         fail("rules without fixture coverage: %s" %
