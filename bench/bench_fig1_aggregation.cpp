@@ -33,7 +33,7 @@ struct BurstResult {
 BurstResult run_burst(const char* backend, bool aggregation, int nmsgs,
                       std::size_t msg_size, int iterations) {
   nmad::SessionConfig cfg;
-  cfg.strategy.aggregation = aggregation;
+  cfg.aggregation = aggregation;
   transport::Cluster cluster;
   transport::IChannel* na = nullptr;
   transport::IChannel* nb = nullptr;

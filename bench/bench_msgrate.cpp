@@ -51,7 +51,7 @@ RateResult run_rate(nmad::MatcherKind matcher, bool aggregation,
                     std::size_t msg_size, int windows) {
   nmad::SessionConfig cfg;
   cfg.matcher = matcher;
-  cfg.strategy.aggregation = aggregation;
+  cfg.aggregation = aggregation;
   transport::Cluster cluster;
   auto [ca, cb] = cluster.shmem().create_channel_pair("msgrate.shm");
   nmad::Session sa("a", cfg), sb("b", cfg);

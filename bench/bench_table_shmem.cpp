@@ -130,9 +130,7 @@ int main(int argc, char** argv) {
                                             static_cast<double>(bytes));
     for (const PairWiring wiring : kWirings) {
       piom::transport::Cluster cluster;
-      piom::nmad::SessionConfig config;
-      config.strategy.stripe_min_chunk = 64 * 1024;
-      piom::nmad::Session sa("a", config), sb("b", config);
+      piom::nmad::Session sa("a"), sb("b");
       const double us = measure_latency_us(
           make_endpoints(cluster, sa, sb, wiring), bytes, lat_iters);
       cells.push_back(piom::bench::fmt_us(us));
@@ -155,9 +153,7 @@ int main(int argc, char** argv) {
                                               static_cast<double>(bytes));
     for (const PairWiring wiring : kWirings) {
       piom::transport::Cluster cluster;
-      piom::nmad::SessionConfig config;
-      config.strategy.stripe_min_chunk = 64 * 1024;
-      piom::nmad::Session sa("a", config), sb("b", config);
+      piom::nmad::Session sa("a"), sb("b");
       const double mbps = measure_bandwidth_MBps(
           make_endpoints(cluster, sa, sb, wiring), bytes, bw_iters);
       cells.push_back(piom::bench::fmt_us(mbps, 0));

@@ -31,13 +31,15 @@ inline double measure_overlap(mpi::World& world, std::size_t msg_size,
   std::vector<uint8_t> data(msg_size, 0x3C);
   std::vector<uint8_t> out(msg_size);
   double total_us_sum = 0;
-  // Rank 1 (receiver) thread; rendezvous in lockstep with the sender using
-  // tiny sync messages so each iteration starts with the irecv posted
-  // (the paper's benchmark also posts the receive before the send).
-  for (int it = 0; it < iters; ++it) {
-    sync::Semaphore recv_posted;
-    double recv_total_us = 0;
-    std::thread receiver([&] {
+  // One rank-1 (receiver) thread for every iteration, in lockstep with the
+  // sender: it posts the irecv and signals `recv_posted` before the sender
+  // starts (the paper's benchmark also posts the receive before the send),
+  // and signals `recv_done` once its Ttotal is recorded.
+  sync::Semaphore recv_posted;
+  sync::Semaphore recv_done;
+  double recv_total_us = 0;
+  std::thread receiver([&] {
+    for (int it = 0; it < iters; ++it) {
       mpi::Request r;
       const int64_t r0 = util::now_ns();
       world.comm(1).irecv(r, 0, 1, out.data(), out.size());
@@ -47,7 +49,10 @@ inline double measure_overlap(mpi::World& world, std::size_t msg_size,
       }
       world.comm(1).wait(r);
       recv_total_us = static_cast<double>(util::now_ns() - r0) * 1e-3;
-    });
+      recv_done.post();
+    }
+  });
+  for (int it = 0; it < iters; ++it) {
     recv_posted.wait();
     mpi::Request s;
     const int64_t s0 = util::now_ns();
@@ -57,7 +62,9 @@ inline double measure_overlap(mpi::World& world, std::size_t msg_size,
     }
     world.comm(0).wait(s);
     const double send_total_us = static_cast<double>(util::now_ns() - s0) * 1e-3;
-    receiver.join();
+    // The receiver records recv_total_us before posting recv_done and only
+    // overwrites it after the next send, which comes after this read.
+    recv_done.wait();
     // Ttotal is measured on the side(s) that compute (per the benchmark
     // definition); for kBoth take the slower side.
     switch (side) {
@@ -68,6 +75,7 @@ inline double measure_overlap(mpi::World& world, std::size_t msg_size,
         break;
     }
   }
+  receiver.join();
   const double mean_total = total_us_sum / iters;
   if (mean_total <= 0) return 0;
   const double ratio = compute_us / mean_total;

@@ -2,9 +2,10 @@
 // "Multirail clusters permit to reduce the pressure on NICs by extending
 // the cumulated bandwidth").
 //
-// Two nodes are wired with 1, 2 and 4 rails; a large message is sent with
-// striping enabled and the effective bandwidth is reported — it should
-// scale with the rail count. A heterogeneous case (one fast + one slow
+// Two nodes are wired with 1, 2 and 4 rails; a large message (well above
+// the 64 KiB minimum stripe chunk) is sent and the effective bandwidth is
+// reported — rendezvous data always stripes, so it should scale with the
+// rail count. A heterogeneous case (one fast + one slow
 // rail) shows the bandwidth-proportional split.
 //
 // Build & run:  ./build/examples/multirail_stripe
@@ -50,8 +51,6 @@ int main() {
     mpi::WorldConfig cfg;
     cfg.engine = mpi::EngineKind::kPioman;
     cfg.rails = rails;
-    cfg.session.strategy.multirail_stripe = true;
-    cfg.session.strategy.stripe_min_chunk = 64 * 1024;
     mpi::World world(cfg);
     const double bw = transfer_bandwidth(world, kSize, kReps);
     if (rails == 1) base = bw;
@@ -67,10 +66,7 @@ int main() {
     fast.bandwidth_GBps = 2.5;
     auto [a0, b0] = cluster.create_sim_link("slow", slow);
     auto [a1, b1] = cluster.create_sim_link("fast", fast);
-    nmad::SessionConfig scfg;
-    scfg.strategy.multirail_stripe = true;
-    scfg.strategy.stripe_min_chunk = 64 * 1024;
-    nmad::Session sa("A", scfg), sb("B", scfg);
+    nmad::Session sa("A"), sb("B");
     nmad::Gate& ga = sa.create_gate({a0, a1});
     nmad::Gate& gb = sb.create_gate({b0, b1});
     std::vector<uint8_t> data(kSize, 0xAB), out(kSize);

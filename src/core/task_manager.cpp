@@ -77,7 +77,13 @@ void TaskManager::submit_to(Task* task, const topo::TopoNode& node) {
   if ((task->options & kTaskUrgent) != 0) {
     // Preemptive path: dedicated queue, out-of-band wakeup.
     urgent_queue_.enqueue(task);
-    if (urgent_notifier_) urgent_notifier_();
+    // Sequentially consistent against detach_urgent_hook: either its clear
+    // precedes our load (we see null) or it sees our count and waits.
+    urgent_notifying_.fetch_add(1, std::memory_order_seq_cst);
+    if (const UrgentHook* h = urgent_hook_.load(std::memory_order_seq_cst)) {
+      h->fn(h->ctx);
+    }
+    urgent_notifying_.fetch_sub(1, std::memory_order_release);
     return;
   }
   const topo::TopoNode& home =
@@ -100,8 +106,17 @@ int TaskManager::run_urgent(int cpu) {
   return executed;
 }
 
-void TaskManager::set_urgent_notifier(std::function<void()> notifier) {
-  urgent_notifier_ = std::move(notifier);
+void TaskManager::attach_urgent_hook(const UrgentHook* hook) {
+  urgent_hook_.store(hook, std::memory_order_seq_cst);
+}
+
+void TaskManager::detach_urgent_hook(const UrgentHook* hook) {
+  const UrgentHook* expected = hook;
+  urgent_hook_.compare_exchange_strong(expected, nullptr,
+                                       std::memory_order_seq_cst);
+  while (urgent_notifying_.load(std::memory_order_seq_cst) != 0) {
+    sync::cpu_relax();
+  }
 }
 
 std::size_t TaskManager::urgent_pending_approx() const {

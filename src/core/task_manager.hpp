@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +26,14 @@ enum class QueueKind {
 };
 
 [[nodiscard]] const char* queue_kind_name(QueueKind k);
+
+/// Out-of-band wake-up fired after every urgent (kTaskUrgent) submission.
+/// A plain function and context, so publishing and clearing it is one
+/// atomic pointer store.
+struct UrgentHook {
+  void (*fn)(void* ctx) = nullptr;
+  void* ctx = nullptr;
+};
 
 struct TaskManagerConfig {
   QueueKind queue_kind = QueueKind::kSpin;
@@ -107,9 +114,15 @@ class TaskManager {
   /// sched::Runtime interrupt thread.
   int run_urgent(int cpu);
 
-  /// Install a callback fired (outside any lock) whenever an urgent task is
-  /// submitted; sched::Runtime uses it to wake its interrupt thread.
-  void set_urgent_notifier(std::function<void()> notifier);
+  /// Publish `hook`: every later urgent submission calls hook->fn(ctx),
+  /// outside any lock. sched::Runtime uses it to wake its interrupt
+  /// thread. `hook` must stay valid until detach_urgent_hook(hook) returns.
+  void attach_urgent_hook(const UrgentHook* hook);
+
+  /// Clear `hook` (if it is the one attached), then wait out every urgent
+  /// submission still calling it: once this returns, hook->fn never runs
+  /// again, so its owner may be destroyed.
+  void detach_urgent_hook(const UrgentHook* hook);
 
   /// Urgent tasks currently queued (approximate).
   [[nodiscard]] std::size_t urgent_pending_approx() const;
@@ -163,7 +176,10 @@ class TaskManager {
   TaskManagerConfig config_;
   std::vector<std::unique_ptr<ITaskQueue>> queues_;  // index = TopoNode::id
   SpinTaskQueue urgent_queue_;
-  std::function<void()> urgent_notifier_;
+  std::atomic<const UrgentHook*> urgent_hook_{nullptr};
+  /// Urgent submissions between their load of urgent_hook_ and the end of
+  /// its call (detach_urgent_hook waits for zero).
+  std::atomic<uint32_t> urgent_notifying_{0};
   // Fixed array (atomics are not movable, so no vector).
   std::unique_ptr<sync::CacheAligned<CoreStatsCell>[]> core_stats_;
   std::atomic<uint64_t> submissions_{0};

@@ -11,6 +11,15 @@
 
 namespace piom::mpi {
 
+const char* engine_kind_name(EngineKind k) {
+  switch (k) {
+    case EngineKind::kPioman: return "pioman";
+    case EngineKind::kMvapichLike: return "mvapich-like";
+    case EngineKind::kOpenMpiLike: return "openmpi-like";
+  }
+  return "?";
+}
+
 bool Engine::has_failures() const {
   const FailureDetector* fd = fd_.load(std::memory_order_acquire);
   return fd != nullptr && fd->any_failed();

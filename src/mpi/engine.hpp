@@ -22,6 +22,14 @@ namespace piom::mpi {
 class CollOp;
 class FailureDetector;
 
+enum class EngineKind {
+  kPioman,       ///< MAD-MPI: nmad + PIOMan background progression
+  kMvapichLike,  ///< global lock, caller-driven progress, hard spin
+  kOpenMpiLike,  ///< global lock, caller-driven progress, yielding spin
+};
+
+[[nodiscard]] const char* engine_kind_name(EngineKind k);
+
 class Engine {
  public:
   virtual ~Engine() = default;

@@ -7,9 +7,8 @@
 
 namespace piom::mpi {
 
-GlobalLockEngine::GlobalLockEngine(nmad::Session& session,
-                                   GlobalLockEngineConfig config)
-    : session_(session), config_(std::move(config)) {}
+GlobalLockEngine::GlobalLockEngine(nmad::Session& session, EngineKind kind)
+    : session_(session), kind_(kind) {}
 
 void GlobalLockEngine::locked_progress() {
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
@@ -59,7 +58,7 @@ void GlobalLockEngine::wait(Request& req) {
   while (!core.completed()) {
     locked_progress();
     advance_colls();
-    if (config_.yield_in_wait) std::this_thread::yield();
+    if (kind_ == EngineKind::kOpenMpiLike) std::this_thread::yield();
   }
 }
 
@@ -84,7 +83,7 @@ void GlobalLockEngine::wait_coll(CollOp& op) {
   // Same spin as wait(): test_coll drives progress + collectives; the
   // OpenMPI flavour yields between attempts, MVAPICH hard-spins.
   while (!test_coll(op)) {
-    if (config_.yield_in_wait) std::this_thread::yield();
+    if (kind_ == EngineKind::kOpenMpiLike) std::this_thread::yield();
   }
 }
 

@@ -23,18 +23,12 @@
 
 namespace piom::mpi {
 
-struct GlobalLockEngineConfig {
-  /// Displayed name ("mvapich-like" / "openmpi-like").
-  std::string label = "mvapich-like";
-  /// Yield the CPU between progress attempts in wait() (OpenMPI-flavoured
-  /// politeness) instead of hard spinning (MVAPICH-flavoured).
-  bool yield_in_wait = false;
-};
-
 class GlobalLockEngine final : public Engine {
  public:
-  explicit GlobalLockEngine(nmad::Session& session,
-                            GlobalLockEngineConfig config = {});
+  /// `kind` is kMvapichLike (hard spin in wait) or kOpenMpiLike (yield
+  /// the CPU between progress attempts in wait — OpenMPI-flavoured
+  /// politeness).
+  GlobalLockEngine(nmad::Session& session, EngineKind kind);
 
   void isend(Request& req, nmad::Gate& gate, Tag tag, const void* buf,
              std::size_t len) override;
@@ -50,7 +44,9 @@ class GlobalLockEngine final : public Engine {
     locked_progress();
     advance_colls();
   }
-  [[nodiscard]] std::string name() const override { return config_.label; }
+  [[nodiscard]] std::string name() const override {
+    return engine_kind_name(kind_);
+  }
 
   /// Lock acquisitions so far (the Fig-4 bench reports contention).
   [[nodiscard]] uint64_t lock_acquisitions() const {
@@ -61,7 +57,7 @@ class GlobalLockEngine final : public Engine {
   void locked_progress();
 
   nmad::Session& session_;
-  GlobalLockEngineConfig config_;
+  const EngineKind kind_;
   std::mutex big_lock_;
   std::atomic<uint64_t> lock_acquisitions_{0};
 };

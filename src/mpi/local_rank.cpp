@@ -8,15 +8,6 @@
 
 namespace piom::mpi {
 
-const char* engine_kind_name(EngineKind k) {
-  switch (k) {
-    case EngineKind::kPioman: return "pioman";
-    case EngineKind::kMvapichLike: return "mvapich-like";
-    case EngineKind::kOpenMpiLike: return "openmpi-like";
-  }
-  return "?";
-}
-
 LocalRank::LocalRank(
     int rank, int nranks,
     const std::vector<std::vector<transport::IChannel*>>& rails_by_peer,
@@ -57,8 +48,7 @@ void LocalRank::init(
   // must exist before any gate can receive traffic.
   membership_ = std::make_unique<Membership>(
       *session_, rank_, nranks_,
-      resolve_overlay_mode(config.overlay, nranks_),
-      resolve_overlay_fanout(config.overlay));
+      resolve_overlay_mode(config.overlay, nranks_), config.overlay.fanout);
   // Eagerly install the gates whose rails the caller provided (the
   // multi-process bootstrap shape wires every peer upfront; World passes
   // all-empty entries and relies on lazy connection instead).
@@ -79,20 +69,10 @@ void LocalRank::init(
       engine_ = std::move(engine);
       break;
     }
-    case EngineKind::kMvapichLike: {
-      GlobalLockEngineConfig glc;
-      glc.label = "mvapich-like";
-      glc.yield_in_wait = false;
-      engine_ = std::make_unique<GlobalLockEngine>(*session_, glc);
+    case EngineKind::kMvapichLike:
+    case EngineKind::kOpenMpiLike:
+      engine_ = std::make_unique<GlobalLockEngine>(*session_, config.engine);
       break;
-    }
-    case EngineKind::kOpenMpiLike: {
-      GlobalLockEngineConfig glc;
-      glc.label = "openmpi-like";
-      glc.yield_in_wait = true;
-      engine_ = std::make_unique<GlobalLockEngine>(*session_, glc);
-      break;
-    }
   }
   if (config.failure.enabled) {
     detector_ = std::make_unique<FailureDetector>(*session_, rank_, nranks_,

@@ -22,15 +22,7 @@
 
 namespace piom::mpi {
 
-enum class EngineKind {
-  kPioman,       ///< MAD-MPI: nmad + PIOMan background progression
-  kMvapichLike,  ///< global lock, caller-driven progress, hard spin
-  kOpenMpiLike,  ///< global lock, caller-driven progress, yielding spin
-};
-
-[[nodiscard]] const char* engine_kind_name(EngineKind k);
-
-/// Per-rank configuration (the rank-local slice of WorldConfig).
+/// Per-rank configuration (the base of WorldConfig).
 struct RankConfig {
   EngineKind engine = EngineKind::kPioman;
   nmad::SessionConfig session{};

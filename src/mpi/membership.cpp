@@ -29,21 +29,8 @@ OverlayMode resolve_overlay_mode(const OverlayConfig& config, int nranks) {
     throw std::invalid_argument("PIOM_OVERLAY: expected dense|sparse|auto, got '" +
                                 v + "'");
   }
-  int threshold = config.sparse_threshold;
-  if (threshold <= 0) {
-    threshold =
-        static_cast<int>(util::env::integer("PIOM_SPARSE_THRESHOLD", 32));
-    if (threshold <= 0) threshold = 32;
-  }
-  return nranks >= threshold ? OverlayMode::kSparse : OverlayMode::kDense;
-}
-
-int resolve_overlay_fanout(const OverlayConfig& config) {
-  int fanout = config.fanout;
-  if (fanout <= 0) {
-    fanout = static_cast<int>(util::env::integer("PIOM_FANOUT", 4));
-  }
-  return std::max(1, fanout);
+  return nranks >= kSparseThreshold ? OverlayMode::kSparse
+                                    : OverlayMode::kDense;
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +141,7 @@ Membership::Membership(nmad::Session& session, int rank, int nranks,
       rank_(rank),
       nranks_(nranks),
       mode_(mode),
-      fanout_(fanout),
+      fanout_(std::max(1, fanout)),
       gate_(new std::atomic<nmad::Gate*>[static_cast<std::size_t>(nranks)]),
       inbox_(session, wilds_, nranks),
       fseq_(new std::atomic<uint64_t>[static_cast<std::size_t>(nranks)]),

@@ -62,24 +62,24 @@ enum class OverlayMode {
 
 [[nodiscard]] const char* overlay_mode_name(OverlayMode m);
 
-/// Overlay/membership knobs (WorldConfig::overlay; RankConfig::overlay).
-/// Unset fields defer to the environment at World/LocalRank construction.
+/// `auto` cut-over: worlds with nranks >= this go sparse.
+inline constexpr int kSparseThreshold = 32;
+
+/// Overlay/membership knobs (RankConfig::overlay, so WorldConfig::overlay
+/// too). An unset mode defers to the environment at World/LocalRank
+/// construction.
 struct OverlayConfig {
   /// Unset: $PIOM_OVERLAY = dense | sparse | auto (default auto). auto
-  /// picks sparse when nranks >= the sparse threshold, dense below it.
+  /// picks sparse when nranks >= kSparseThreshold, dense below it.
   std::optional<OverlayMode> mode{};
-  /// Tree fanout (>= 1). 0: $PIOM_FANOUT (default 4).
-  int fanout = 0;
-  /// auto cut-over point. 0: $PIOM_SPARSE_THRESHOLD (default 32).
-  int sparse_threshold = 0;
+  /// Tree fanout (values below 1 act as 1).
+  int fanout = 4;
 };
 
 /// Resolve the mode for an N-rank world (throws std::invalid_argument on a
 /// malformed $PIOM_OVERLAY — junk must not silently pick a topology).
 [[nodiscard]] OverlayMode resolve_overlay_mode(const OverlayConfig& config,
                                                int nranks);
-/// Resolve the tree fanout (>= 1 enforced).
-[[nodiscard]] int resolve_overlay_fanout(const OverlayConfig& config);
 
 /// Sentinel tag of a death-notice flood frame. Lives at the very top of the
 /// reserved space (above every collective window, below kAnyTag), only ever
@@ -163,8 +163,8 @@ struct MembershipStats {
 
 class Membership {
  public:
-  /// `session` must outlive the membership. `mode`/`fanout` must already be
-  /// resolved (resolve_overlay_mode / resolve_overlay_fanout).
+  /// `session` must outlive the membership. `mode` must already be
+  /// resolved (resolve_overlay_mode); a `fanout` below 1 acts as 1.
   Membership(nmad::Session& session, int rank, int nranks, OverlayMode mode,
              int fanout);
   ~Membership();

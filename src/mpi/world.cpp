@@ -36,26 +36,19 @@ World::World(WorldConfig config) : config_(config) {
   const transport::BackendPolicy policy =
       config_.policy.node_of.empty() ? transport::BackendPolicy::from_env(n)
                                      : config_.policy;
-  transport::ClusterConfig cc;
-  cc.time_scale = config_.time_scale;
-  cc.shmem = config_.shmem;
-  cluster_ = std::make_unique<transport::Cluster>(cc);
+  cluster_ = std::make_unique<transport::Cluster>(
+      transport::ClusterConfig{config_.time_scale});
   // Lazy wiring: declare the mesh, create a pair's policy-selected channels
   // (`rails` dedicated NIC links, a shmem fast path, a socket, or a mix)
   // only when some rank first talks to the peer (connect_pair below).
   cluster_->init_lazy_mesh(n, config_.rails, config_.link, "link", policy);
 
-  RankConfig rc;
-  rc.engine = config_.engine;
-  rc.session = config_.session;
-  rc.pioman = config_.pioman;
-  rc.failure = config_.failure;
-  rc.overlay = config_.overlay;
   const std::vector<std::vector<transport::IChannel*>> no_rails(
       static_cast<std::size_t>(n));
   ranks_.reserve(static_cast<std::size_t>(n));
   for (int rank = 0; rank < n; ++rank) {
-    ranks_.push_back(std::make_unique<LocalRank>(rank, n, no_rails, rc));
+    ranks_.push_back(
+        std::make_unique<LocalRank>(rank, n, no_rails, config_));
   }
   // Connectors go in only after EVERY rank's engine and detector exist:
   // the first connect_pair installs gates on both endpoints, and a

@@ -35,8 +35,9 @@
 
 namespace piom::mpi {
 
-struct WorldConfig {
-  EngineKind engine = EngineKind::kPioman;
+/// The per-rank fields (engine, session, pioman, failure, overlay) come
+/// from RankConfig, and every rank gets that slice as is.
+struct WorldConfig : RankConfig {
   /// Cluster size (>= 2). Every rank is wired to every other rank.
   int nranks = 2;
   /// Number of simnet rails (NIC pairs) between each pair of ranks.
@@ -44,25 +45,11 @@ struct WorldConfig {
   simnet::LinkModel link{};
   /// Multiplies every modelled network delay.
   double time_scale = 1.0;
-  nmad::SessionConfig session{};
-  /// PIOMan node configuration (ignored by the baseline engines).
-  PiomanEngineConfig pioman{};
   /// Transport backend selection per rank pair. With an empty `node_of`
   /// the policy is resolved from $PIOM_TRANSPORT instead (the CI backend
   /// matrix forces whole suites onto shmem/hybrid that way); a non-empty
   /// `node_of` pins the placement and ignores the environment.
   transport::BackendPolicy policy{};
-  /// Intra-node channel tuning (ring depth, modelled latency).
-  transport::ShmemConfig shmem{};
-  /// Heartbeat failure detection (off by default — see mpi/failure.hpp for
-  /// why caller-driven engines make it opt-in). When enabled, every rank
-  /// gets a FailureDetector ticked from its engine's progress paths.
-  FailureConfig failure{};
-  /// Overlay topology: dense (every pair may talk directly; gates still
-  /// created lazily) or sparse (tree+ring view, multi-hop forwarding, tree
-  /// collectives). Defaults defer to $PIOM_OVERLAY / $PIOM_FANOUT /
-  /// $PIOM_SPARSE_THRESHOLD — see mpi/membership.hpp and docs/scaling.md.
-  OverlayConfig overlay{};
 };
 
 /// Rank placement derived from a machine topology: rank r lives on the

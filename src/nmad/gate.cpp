@@ -15,8 +15,7 @@ Gate::Gate(Session& session, std::vector<transport::IChannel*> rails,
            int peer_rank)
     : session_(session),
       peer_rank_(peer_rank),
-      matcher_(session.config().matcher.value_or(MatcherKind::kBucket),
-               session.config().matcher_buckets) {
+      matcher_(session.config().matcher) {
   // Warm-up is lazy: post a small initial buffer set per rail and let
   // poll_rail() grow it towards pool_bufs_per_rail under RX pressure, so
   // an N-rank world doesn't pay O(N^2) x 64KiB for mostly-idle pairs.
@@ -85,7 +84,7 @@ void Gate::isend(SendRequest& req, Tag tag, const void* buf, std::size_t len,
   req.buf = buf;
   req.len = len;
   req.next = nullptr;
-  req.rdv = len > session_.config().eager_threshold;
+  req.rdv = len > kEagerThreshold;
   req.core.reset();
   req.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   lock_.lock();
@@ -131,7 +130,7 @@ void Gate::drain_pending() {
   // The strategy layer: drain the pending FIFO, turning requests into wire
   // packets — one per eager message, one RTS per rendezvous, or one kPack
   // covering a run of small messages when aggregation is enabled.
-  Strategy& strategy = session_.strategy();
+  const bool aggregation = session_.strategy().aggregation();
   for (;;) {
     lock_.lock();
     SendRequest* first = pending_head_;
@@ -168,11 +167,11 @@ void Gate::drain_pending() {
     SendRequest* last = first;
     int nmsgs = 1;
     std::size_t body_bytes = sizeof(PackEntry) + first->len;
-    if (strategy.aggregation()) {
+    if (aggregation) {
       while (pending_head_ != nullptr && !pending_head_->rdv &&
-             nmsgs < strategy.config().max_pack_msgs &&
+             nmsgs < kMaxPackMsgs &&
              body_bytes + sizeof(PackEntry) + pending_head_->len <=
-                 strategy.config().max_pack_bytes) {
+                 kMaxPackBytes) {
         last = pending_head_;
         pending_head_ = last->next;
         if (pending_head_ == nullptr) pending_tail_ = nullptr;
@@ -222,7 +221,7 @@ void Gate::drain_pending() {
       }
       pw->header().len = pw->wire.size() - sizeof(PktHeader);
     }
-    post_pw(pw, strategy.select_eager_rail(rail_latency_us_));
+    post_pw(pw, Strategy::select_eager_rail(rail_latency_us_));
   }
 }
 
@@ -908,7 +907,7 @@ void Gate::start_pull(RecvRequest& req, const RdvStub& rts) {
   const std::size_t n = std::min(req.cap, static_cast<std::size_t>(rts.len));
   req.received = n;
   const std::vector<StripeChunk> chunks =
-      session_.strategy().stripe(n, rail_bandwidths_);
+      Strategy::stripe(n, rail_bandwidths_);
   req.pull.req = &req;
   req.pull.tag = rts.tag;
   req.pull.seq = rts.seq;

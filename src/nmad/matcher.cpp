@@ -4,21 +4,10 @@
 
 namespace piom::nmad {
 
-namespace {
-[[nodiscard]] std::size_t ceil_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
-
-TagMatcher::TagMatcher(MatcherKind kind, int nbuckets) : kind_(kind) {
+TagMatcher::TagMatcher(MatcherKind kind) : kind_(kind) {
   if (kind_ == MatcherKind::kBucket) {
-    const std::size_t nb = ceil_pow2(static_cast<std::size_t>(
-        std::max(1, nbuckets)));
-    bucket_mask_ = nb - 1;
-    posted_buckets_.resize(nb);
-    unex_buckets_.resize(nb);
+    posted_buckets_.resize(kMatcherBuckets);
+    unex_buckets_.resize(kMatcherBuckets);
   }
 }
 

@@ -27,6 +27,7 @@
 // internally and say so. Counters are plain fields owned by the lock.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +41,12 @@ enum class MatcherKind : uint8_t {
   kScan = 0,    ///< linear reference matcher
   kBucket = 1,  ///< hashed tag buckets + wildcard sidecar
 };
+
+/// Bucket count of the kBucket layout (a power of two: tags that agree
+/// mod kMatcherBuckets share a chain).
+inline constexpr std::size_t kMatcherBuckets = 64;
+static_assert((kMatcherBuckets & (kMatcherBuckets - 1)) == 0,
+              "bucket_of masks with kMatcherBuckets - 1");
 
 /// Tag-matching predicate shared by every lookup. kAnyTag is an
 /// application-level wildcard: it never matches reserved-space
@@ -100,8 +107,7 @@ struct MatcherStats {
 
 class TagMatcher {
  public:
-  /// `nbuckets` is rounded up to a power of two (kBucket layout only).
-  TagMatcher(MatcherKind kind, int nbuckets);
+  explicit TagMatcher(MatcherKind kind);
   ~TagMatcher();
   TagMatcher(const TagMatcher&) = delete;
   TagMatcher& operator=(const TagMatcher&) = delete;
@@ -190,7 +196,7 @@ class TagMatcher {
   };
 
   [[nodiscard]] std::size_t bucket_of(Tag tag) const {
-    return static_cast<std::size_t>(tag) & bucket_mask_;
+    return static_cast<std::size_t>(tag) & (kMatcherBuckets - 1);
   }
   /// The posted list `req` lives in under the current layout.
   [[nodiscard]] PostedList& posted_home(const RecvRequest& req)
@@ -216,7 +222,6 @@ class TagMatcher {
   RecvRequest* scan_posted(PostedList& l, Tag arrival) PIOM_REQUIRES(lock_);
 
   const MatcherKind kind_;
-  std::size_t bucket_mask_ = 0;
 
   mutable sync::SpinLock lock_;
   // Posted receives. kScan: posted_all_ only. kBucket: buckets + sidecar.

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/env.hpp"
-
 namespace piom::nmad {
 
 const char* pkt_kind_name(PktKind k) {
@@ -20,36 +18,18 @@ const char* pkt_kind_name(PktKind k) {
   return "?";
 }
 
+static_assert(kEagerThreshold + sizeof(PktHeader) <= kPoolBufSize,
+              "an eager packet must fit a pool buffer");
+static_assert(kMaxPackBytes + sizeof(PktHeader) <= kPoolBufSize,
+              "a kPack packet must fit a pool buffer");
+
 Session::Session(std::string name, SessionConfig config)
-    : name_(std::move(name)), config_(config), strategy_(config.strategy) {
-  if (config_.eager_threshold + sizeof(PktHeader) > kPoolBufSize) {
-    throw std::invalid_argument(
-        "Session: eager_threshold must fit a pool buffer");
-  }
-  if (config_.strategy.max_pack_bytes + sizeof(PktHeader) > kPoolBufSize) {
-    throw std::invalid_argument(
-        "Session: max_pack_bytes must fit a pool buffer");
-  }
+    : name_(std::move(name)), config_(config), strategy_(config.aggregation) {
   if (config_.pool_bufs_per_rail < 1) {
     throw std::invalid_argument("Session: need at least one pool buffer");
   }
   if (config_.pool_bufs_initial < 1) {
     throw std::invalid_argument("Session: need at least one initial buffer");
-  }
-  if (config_.matcher_buckets < 1) {
-    throw std::invalid_argument("Session: need at least one matcher bucket");
-  }
-  // $PIOM_MATCHER selects the matching layout for sessions that did not
-  // pin one (benches/tests pass an explicit SessionConfig to ablate).
-  if (!config_.matcher.has_value()) {
-    const std::string m = util::env::str("PIOM_MATCHER", "bucket");
-    if (m == "scan") {
-      config_.matcher = MatcherKind::kScan;
-    } else if (m == "bucket") {
-      config_.matcher = MatcherKind::kBucket;
-    } else {
-      throw std::invalid_argument("Session: $PIOM_MATCHER must be scan|bucket");
-    }
   }
 }
 

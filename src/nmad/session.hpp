@@ -17,8 +17,6 @@
 namespace piom::nmad {
 
 struct SessionConfig {
-  /// Messages above this size use the rendezvous protocol.
-  std::size_t eager_threshold = kDefaultEagerThreshold;
   /// Ceiling of posted receive buffers per rail (eager/control traffic).
   int pool_bufs_per_rail = 32;
   /// Receive buffers posted per rail at gate creation (clamped to
@@ -28,19 +26,19 @@ struct SessionConfig {
   /// and only the hot pairs warm up. Safe because both transports stage
   /// arrivals (driver-side copy) when no buffer is posted.
   int pool_bufs_initial = 4;
-  /// Tag-matching layout. Unset defers to $PIOM_MATCHER={bucket,scan} at
-  /// session construction, default bucket; an explicit value always wins
-  /// (bench ablations pin one regardless of environment).
-  std::optional<MatcherKind> matcher{};
-  /// Bucket count for MatcherKind::kBucket (rounded up to a power of two).
-  int matcher_buckets = 64;
+  /// Tag-matching layout (kScan is the ablation baseline bench_msgrate
+  /// and the equivalence tests pin).
+  MatcherKind matcher = MatcherKind::kBucket;
   /// Reliability layer for lossy fabrics (LinkModel::drop_rate > 0): every
   /// data/control packet is acknowledged and retransmitted after `rto_us`;
   /// duplicates are filtered by packet sequence number. Send completions
   /// then mean "acknowledged" rather than "on the wire".
   bool reliable = false;
   double rto_us = 200.0;
-  StrategyConfig strategy;
+  /// Pack pending eager messages into kPack wire packets (the strategy
+  /// layer's aggregation). Unset defers to $PIOM_AGGREGATION (see
+  /// Strategy).
+  std::optional<bool> aggregation{};
 };
 
 class Session {

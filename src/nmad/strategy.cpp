@@ -8,47 +8,35 @@
 
 namespace piom::nmad {
 
-Strategy::Strategy(StrategyConfig config)
-    : config_(config),
-      aggregation_(config.aggregation.value_or(
+Strategy::Strategy(std::optional<bool> aggregation)
+    : aggregation_(aggregation.value_or(
           util::env::boolean("PIOM_AGGREGATION", false))) {}
-
-int Strategy::select_eager_rail(int nrails) {
-  if (nrails <= 1 || !config_.eager_round_robin) return 0;
-  return static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) %
-                          static_cast<uint32_t>(nrails));
-}
 
 int Strategy::select_eager_rail(const std::vector<double>& latencies_us) {
   const int nrails = static_cast<int>(latencies_us.size());
-  if (nrails <= 1) return 0;
-  if (config_.latency_aware_eager) {
-    int best = 0;
-    bool unique = true;
-    for (int r = 1; r < nrails; ++r) {
-      const double lat = latencies_us[static_cast<std::size_t>(r)];
-      const double best_lat = latencies_us[static_cast<std::size_t>(best)];
-      if (lat < best_lat) {
-        best = r;
-        unique = true;
-      } else if (lat == best_lat) {
-        unique = false;
-      }
+  int best = 0;
+  bool unique = true;
+  for (int r = 1; r < nrails; ++r) {
+    const double lat = latencies_us[static_cast<std::size_t>(r)];
+    const double best_lat = latencies_us[static_cast<std::size_t>(best)];
+    if (lat < best_lat) {
+      best = r;
+      unique = true;
+    } else if (lat == best_lat) {
+      unique = false;
     }
-    // A strictly fastest rail (the shmem fast path of a hybrid gate) takes
-    // all small traffic; tied rails are interchangeable -> spread instead.
-    if (unique) return best;
   }
-  return select_eager_rail(nrails);
+  // A strictly fastest rail (the shmem fast path of a hybrid gate) takes
+  // all small traffic; tied rails are interchangeable -> rail 0.
+  return unique ? best : 0;
 }
 
 std::vector<StripeChunk> Strategy::stripe(
-    std::size_t len, const std::vector<double>& bandwidths) const {
+    std::size_t len, const std::vector<double>& bandwidths) {
   assert(!bandwidths.empty());
   std::vector<StripeChunk> chunks;
   const int nrails = static_cast<int>(bandwidths.size());
-  if (!config_.multirail_stripe || nrails == 1 ||
-      len < 2 * config_.stripe_min_chunk) {
+  if (nrails == 1 || len < 2 * kStripeMinChunk) {
     chunks.push_back(StripeChunk{0, 0, len});
     return chunks;
   }
@@ -62,7 +50,7 @@ std::vector<StripeChunk> Strategy::stripe(
             : static_cast<std::size_t>(static_cast<double>(len) *
                                        bandwidths[static_cast<std::size_t>(r)] /
                                        total_bw);
-    if (r < nrails - 1 && share < config_.stripe_min_chunk) {
+    if (r < nrails - 1 && share < kStripeMinChunk) {
       // Too small to be worth a packet on its own rail: skip this rail and
       // let later rails (or the tail) absorb it.
       continue;
@@ -85,8 +73,7 @@ std::vector<StripeChunk> Strategy::stripe(
 
 bool Strategy::should_pack(int pending_count, std::size_t bytes) const {
   return aggregation_ && pending_count >= 2 &&
-         pending_count <= config_.max_pack_msgs &&
-         bytes <= config_.max_pack_bytes;
+         pending_count <= kMaxPackMsgs && bytes <= kMaxPackBytes;
 }
 
 }  // namespace piom::nmad

@@ -4,39 +4,23 @@
 //                     into one wire packet;
 //   * multirail     — distribute bulk (rendezvous) data across every rail,
 //                     proportionally to each rail's bandwidth;
-//   * rail selection for eager traffic (round-robin when multirail).
+//   * rail selection for eager traffic (the strictly fastest rail, else
+//     rail 0).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
 namespace piom::nmad {
 
-struct StrategyConfig {
-  /// Pack pending eager messages into kPack wire packets. Unset (the
-  /// default) defers to $PIOM_AGGREGATION at Strategy construction (off
-  /// when the variable is absent); an explicit value always wins, so tests
-  /// pinning either behaviour survive a forced-aggregation environment.
-  std::optional<bool> aggregation{};
-  /// Aggregate at most this much payload+headers per wire packet.
-  std::size_t max_pack_bytes = 48 * 1024;
-  /// Aggregate at most this many messages per wire packet.
-  int max_pack_msgs = 32;
-  /// Stripe rendezvous data across all rails (else rail 0 only).
-  bool multirail_stripe = true;
-  /// Do not split chunks below this size (per-packet overhead dominates).
-  std::size_t stripe_min_chunk = 64 * 1024;
-  /// Spread eager packets round-robin across rails (else rail 0).
-  bool eager_round_robin = false;
-  /// Heterogeneous rails: send eager/control packets on the strictly
-  /// lowest-latency rail (the shmem fast path of a hybrid gate) instead of
-  /// round-robin / rail 0. Homogeneous rails fall back to the two knobs
-  /// above.
-  bool latency_aware_eager = true;
-};
+/// Aggregate at most this much payload+headers per wire packet.
+inline constexpr std::size_t kMaxPackBytes = 48 * 1024;
+/// Aggregate at most this many messages per wire packet.
+inline constexpr int kMaxPackMsgs = 32;
+/// Do not split stripe chunks below this size (per-packet overhead
+/// dominates).
+inline constexpr std::size_t kStripeMinChunk = 64 * 1024;
 
 /// One striped slice of a rendezvous transfer.
 struct StripeChunk {
@@ -47,37 +31,33 @@ struct StripeChunk {
 
 class Strategy {
  public:
-  explicit Strategy(StrategyConfig config);
+  /// `aggregation` unset defers to $PIOM_AGGREGATION (off when the variable
+  /// is absent); an explicit value always wins, so tests pinning either
+  /// behaviour survive a forced-aggregation environment.
+  explicit Strategy(std::optional<bool> aggregation);
 
-  [[nodiscard]] const StrategyConfig& config() const { return config_; }
-
-  /// Aggregation, resolved: the config's explicit value, else
-  /// $PIOM_AGGREGATION, else off.
+  /// Aggregation, resolved: the explicit value, else $PIOM_AGGREGATION,
+  /// else off.
   [[nodiscard]] bool aggregation() const { return aggregation_; }
 
-  /// Rail for the next eager/control packet (homogeneous rails: round
-  /// robin when configured, rail 0 otherwise).
-  [[nodiscard]] int select_eager_rail(int nrails);
-
-  /// Latency-aware overload for heterogeneous rails: the rail with the
-  /// strictly lowest one-way latency wins; ties fall back to the
-  /// homogeneous policy above.
-  [[nodiscard]] int select_eager_rail(const std::vector<double>& latencies_us);
+  /// Rail for the next eager/control packet: the rail with the strictly
+  /// lowest one-way latency (the shmem fast path of a hybrid gate), else
+  /// rail 0 (single rail, or a tie at the minimum).
+  [[nodiscard]] static int select_eager_rail(
+      const std::vector<double>& latencies_us);
 
   /// Split `len` bytes across rails weighted by `bandwidths` (GB/s per
   /// rail). Always returns at least one chunk; chunks are contiguous,
-  /// cover [0, len) exactly, and respect stripe_min_chunk.
-  [[nodiscard]] std::vector<StripeChunk> stripe(
-      std::size_t len, const std::vector<double>& bandwidths) const;
+  /// cover [0, len) exactly, and respect kStripeMinChunk.
+  [[nodiscard]] static std::vector<StripeChunk> stripe(
+      std::size_t len, const std::vector<double>& bandwidths);
 
   /// True when `pending_count` messages of combined size `bytes` may be
   /// packed into a single wire packet.
   [[nodiscard]] bool should_pack(int pending_count, std::size_t bytes) const;
 
  private:
-  StrategyConfig config_;
   bool aggregation_ = false;
-  std::atomic<uint32_t> rr_{0};
 };
 
 }  // namespace piom::nmad

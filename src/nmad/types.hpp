@@ -130,7 +130,7 @@ inline constexpr std::size_t kForwardChunk = 32 * 1024;
 /// fit (enforced against the eager threshold and pack limits).
 inline constexpr std::size_t kPoolBufSize = 64 * 1024;
 
-/// Default protocol switch point: messages above go rendezvous.
-inline constexpr std::size_t kDefaultEagerThreshold = 16 * 1024;
+/// Protocol switch point: messages above go rendezvous.
+inline constexpr std::size_t kEagerThreshold = 16 * 1024;
 
 }  // namespace piom::nmad

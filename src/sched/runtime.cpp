@@ -62,10 +62,13 @@ Runtime::Runtime(const topo::Machine& machine, TaskManager& tm)
   }
   interrupt_thread_ = std::thread(
       [this, creator = sched_getcpu()] { interrupt_loop(creator); });
-  tm_.set_urgent_notifier([this] {
-    poster_cpu_.store(sched_getcpu(), std::memory_order_relaxed);
-    interrupts_.post();
-  });
+  tm_.attach_urgent_hook(&urgent_hook_);
+}
+
+void Runtime::wake_interrupt(void* self) {
+  auto* rt = static_cast<Runtime*>(self);
+  rt->poster_cpu_.store(sched_getcpu(), std::memory_order_relaxed);
+  rt->interrupts_.post();
 }
 
 Runtime::~Runtime() { stop(); }
@@ -246,7 +249,7 @@ void Runtime::quiesce() {
 void Runtime::stop() {
   bool expected = true;
   if (!running_.compare_exchange_strong(expected, false)) return;
-  tm_.set_urgent_notifier({});
+  tm_.detach_urgent_hook(&urgent_hook_);
   interrupts_.post();
   if (interrupt_thread_.joinable()) interrupt_thread_.join();
   for (auto& w : workers_) {

@@ -45,8 +45,8 @@ enum class WorkerState : uint8_t {
 class Runtime {
  public:
   /// `machine` and `tm` must outlive the runtime. Spawns ncpus() workers
-  /// and the interrupt thread, and installs itself as `tm`'s urgent
-  /// notifier until stop().
+  /// and the interrupt thread, and attaches itself as `tm`'s urgent hook
+  /// until stop().
   Runtime(const topo::Machine& machine, TaskManager& tm);
   ~Runtime();
 
@@ -93,7 +93,8 @@ class Runtime {
   /// Wait until every submitted job has finished and all workers are idle.
   void quiesce();
 
-  /// Join the interrupt thread, after a final urgent sweep, then all
+  /// Detach the urgent hook (waiting out any submission still calling
+  /// it), join the interrupt thread after a final urgent sweep, then all
   /// workers (idempotent; called by dtor).
   void stop();
 
@@ -115,6 +116,9 @@ class Runtime {
 
   void worker_loop(int cpu);
   void interrupt_loop(int creator_cpu);
+  /// UrgentHook::fn: record the submitter's CPU and wake the interrupt
+  /// thread.
+  static void wake_interrupt(void* self);
   static void pin_to_host_cpu(int cpu);
 
   const topo::Machine& machine_;
@@ -123,8 +127,9 @@ class Runtime {
   std::atomic<bool> running_{true};
   std::atomic<uint64_t> jobs_run_{0};
   std::atomic<uint64_t> jobs_submitted_{0};
-  /// Posted by the urgent notifier and by stop().
+  /// Posted by the urgent hook and by stop().
   sync::Semaphore interrupts_{0};
+  const UrgentHook urgent_hook_{&Runtime::wake_interrupt, this};
   /// Host CPU of the latest urgent submitter.
   std::atomic<int> poster_cpu_{-1};
   std::atomic<uint64_t> ticks_{0};

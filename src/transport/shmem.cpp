@@ -8,16 +8,6 @@
 
 namespace piom::transport {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 2;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 double measured_memcpy_GBps() {
   // One probe per process: the ratio between this and the NIC link models
   // is what the stripe split uses, so a coarse single measurement is fine.
@@ -50,18 +40,12 @@ double measured_memcpy_GBps() {
 
 // ----------------------------------------------------------------- Ring
 
-ShmemChannel::Ring::Ring(std::size_t slots_count) {
-  const std::size_t cap = round_up_pow2(slots_count < 2 ? 2 : slots_count);
-  slots.assign(cap, nullptr);
-  mask = cap - 1;
-}
-
 bool ShmemChannel::Ring::try_push(Msg* m) {
   const uint64_t h = head.load(std::memory_order_relaxed);
   if (h - tail.load(std::memory_order_acquire) >= slots.size()) {
     return false;  // full: caller spills (bounded ring = backpressure)
   }
-  slots[h & mask] = m;
+  slots[h & (kShmemRingSlots - 1)] = m;
   head.store(h + 1, std::memory_order_release);
   return true;
 }
@@ -69,7 +53,7 @@ bool ShmemChannel::Ring::try_push(Msg* m) {
 ShmemChannel::Msg* ShmemChannel::Ring::try_pop() {
   const uint64_t t = tail.load(std::memory_order_relaxed);
   if (head.load(std::memory_order_acquire) == t) return nullptr;
-  Msg* m = slots[t & mask];
+  Msg* m = slots[t & (kShmemRingSlots - 1)];
   tail.store(t + 1, std::memory_order_release);
   return m;
 }
@@ -82,12 +66,8 @@ std::size_t ShmemChannel::Ring::size() const {
 
 // ---------------------------------------------------------------- channel
 
-ShmemChannel::ShmemChannel(std::string name, const ShmemConfig& config,
-                           double bandwidth)
-    : name_(std::move(name)),
-      config_(config),
-      bandwidth_(bandwidth),
-      inbound_(config.ring_slots) {}
+ShmemChannel::ShmemChannel(std::string name, double bandwidth)
+    : name_(std::move(name)), bandwidth_(bandwidth) {}
 
 ShmemChannel::~ShmemChannel() = default;
 
@@ -323,18 +303,17 @@ void ShmemChannel::quiesce() {
 
 // -------------------------------------------------------------- transport
 
-ShmemTransport::ShmemTransport(ShmemConfig config) : config_(config) {
-  bandwidth_ = config_.bandwidth_GBps > 0.0 ? config_.bandwidth_GBps
-                                            : measured_memcpy_GBps();
-}
+ShmemTransport::ShmemTransport(ShmemConfig config)
+    : bandwidth_(config.bandwidth_GBps > 0.0 ? config.bandwidth_GBps
+                                             : measured_memcpy_GBps()) {}
 
 std::pair<IChannel*, IChannel*> ShmemTransport::create_channel_pair(
     const std::string& name) {
   channels_.push_back(std::unique_ptr<ShmemChannel>(
-      new ShmemChannel(name + ".a", config_, bandwidth_)));
+      new ShmemChannel(name + ".a", bandwidth_)));
   ShmemChannel* a = channels_.back().get();
   channels_.push_back(std::unique_ptr<ShmemChannel>(
-      new ShmemChannel(name + ".b", config_, bandwidth_)));
+      new ShmemChannel(name + ".b", bandwidth_)));
   ShmemChannel* b = channels_.back().get();
   ShmemChannel::connect(*a, *b);
   return {a, b};

@@ -13,6 +13,7 @@
 // and may recycle the descriptor the instant it observes it set.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -27,14 +28,17 @@
 
 namespace piom::transport {
 
+/// Slots per direction ring (a power of two). A full ring backpressures
+/// into an unbounded spill queue — senders never block, the ring bounds
+/// only how much is *in flight* towards the consumer.
+inline constexpr std::size_t kShmemRingSlots = 256;
+static_assert((kShmemRingSlots & (kShmemRingSlots - 1)) == 0,
+              "ring indices wrap with kShmemRingSlots - 1");
+/// Small-message one-way latency estimate (µs) reported to the strategy
+/// layer. Ring handoff + one cache-to-cache copy: well under a µs.
+inline constexpr double kShmemLatencyUs = 0.15;
+
 struct ShmemConfig {
-  /// Slots per direction ring (rounded up to a power of two). A full ring
-  /// backpressures into an unbounded spill queue — senders never block, the
-  /// ring bounds only how much is *in flight* towards the consumer.
-  std::size_t ring_slots = 256;
-  /// Small-message one-way latency estimate (µs) reported to the strategy
-  /// layer. Ring handoff + one cache-to-cache copy: well under a µs.
-  double latency_us = 0.15;
   /// Bandwidth (GB/s) reported for stripe weighting. 0 = measure the
   /// host's memcpy throughput once per process (see measured_memcpy_GBps).
   double bandwidth_GBps = 0.0;
@@ -74,13 +78,11 @@ class ShmemChannel final : public IChannel {
   }
 
   [[nodiscard]] double bandwidth_GBps() const override { return bandwidth_; }
-  [[nodiscard]] double latency_us() const override {
-    return config_.latency_us;
-  }
+  [[nodiscard]] double latency_us() const override { return kShmemLatencyUs; }
 
  private:
   friend class ShmemTransport;
-  ShmemChannel(std::string name, const ShmemConfig& config, double bandwidth);
+  ShmemChannel(std::string name, double bandwidth);
   static void connect(ShmemChannel& a, ShmemChannel& b);
 
   /// One in-flight send, owned by the sending endpoint and recycled through
@@ -102,13 +104,11 @@ class ShmemChannel final : public IChannel {
   /// the consumer's RxQueue lock (drain_rx) — the ring itself never takes
   /// a lock.
   struct Ring {
-    explicit Ring(std::size_t slots);
     [[nodiscard]] bool try_push(Msg* m);  // producer only
     [[nodiscard]] Msg* try_pop();         // consumer only
     [[nodiscard]] std::size_t size() const;
 
-    std::vector<Msg*> slots;  // power-of-two capacity
-    std::size_t mask = 0;
+    std::array<Msg*, kShmemRingSlots> slots{};
     alignas(sync::kCacheLine) std::atomic<uint64_t> head{0};  // producer
     alignas(sync::kCacheLine) std::atomic<uint64_t> tail{0};  // consumer
   };
@@ -129,7 +129,6 @@ class ShmemChannel final : public IChannel {
   void drain_rx();
 
   const std::string name_;
-  const ShmemConfig config_;
   const double bandwidth_;
   ShmemChannel* peer_ = nullptr;
   Ring inbound_;  ///< peer -> us; our rx side consumes, peer's tx produces
@@ -167,10 +166,8 @@ class ShmemTransport final : public ITransport {
     return channels_.size();
   }
 
-  [[nodiscard]] const ShmemConfig& config() const { return config_; }
 
  private:
-  ShmemConfig config_;
   double bandwidth_ = 0.0;
   std::vector<std::unique_ptr<ShmemChannel>> channels_;
 };

@@ -28,18 +28,6 @@ int64_t integer(const char* name, int64_t fallback) {
   return parsed;
 }
 
-double number(const char* name, double fallback) {
-  const std::optional<std::string> v = raw(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == v->c_str()) {
-    PIOM_LOG_WARN("ignoring $%s='%s': expected a number", name, v->c_str());
-    return fallback;
-  }
-  return parsed;
-}
-
 bool boolean(const char* name, bool fallback) {
   const std::optional<std::string> v = raw(name);
   if (!v) return fallback;
@@ -49,24 +37,6 @@ bool boolean(const char* name, bool fallback) {
   PIOM_LOG_WARN("ignoring $%s='%s': expected a boolean (1/0, true/false, "
                 "yes/no, on/off)",
                 name, s.c_str());
-  return fallback;
-}
-
-std::string choice(const char* name,
-                   std::initializer_list<const char*> allowed,
-                   const std::string& fallback) {
-  const std::optional<std::string> v = raw(name);
-  if (!v) return fallback;
-  for (const char* a : allowed) {
-    if (*v == a) return *v;
-  }
-  std::string list;
-  for (const char* a : allowed) {
-    if (!list.empty()) list += ", ";
-    list += a;
-  }
-  PIOM_LOG_WARN("ignoring $%s='%s': expected one of {%s}", name, v->c_str(),
-                list.c_str());
   return fallback;
 }
 

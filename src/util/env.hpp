@@ -1,12 +1,11 @@
 // The one front door for $PIOM_* environment knobs: typed parsing with
 // log-on-junk semantics. Every knob the library reads goes through here
-// (see the table in docs/architecture.md), so a typo'd value is reported
-// once instead of being silently swallowed the way raw getenv/strtol
-// call sites used to.
+// and is listed in the table in docs/architecture.md (piom_lint rule
+// env-knob), so a typo'd value is reported once instead of being silently
+// swallowed the way raw getenv/strtol call sites used to.
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -23,20 +22,8 @@ namespace piom::util::env {
 /// `fallback` plus one warning through the logger.
 [[nodiscard]] int64_t integer(const char* name, int64_t fallback);
 
-/// Double from $name; unset -> `fallback`, junk -> `fallback` + warning.
-[[nodiscard]] double number(const char* name, double fallback);
-
 /// Boolean from $name: "1"/"true"/"yes"/"on" -> true, "0"/"false"/"no"/
 /// "off" -> false. Unset -> `fallback`, junk -> `fallback` + warning.
 [[nodiscard]] bool boolean(const char* name, bool fallback);
-
-/// Value of $name constrained to `allowed`. Unset -> `fallback`; a value
-/// outside the list -> `fallback` + warning listing the choices. Callers
-/// that must hard-reject junk instead (e.g. $PIOM_TRANSPORT, where running
-/// a whole suite on the wrong backend is worse than not running) validate
-/// the result of str() themselves and throw.
-[[nodiscard]] std::string choice(const char* name,
-                                 std::initializer_list<const char*> allowed,
-                                 const std::string& fallback);
 
 }  // namespace piom::util::env

@@ -10,8 +10,9 @@ namespace piom::util {
 
 namespace {
 LogLevel parse_level() {
-  // Validated here rather than via env::choice: the logger cannot warn
-  // through itself while its own level is still being initialized.
+  // Validated here rather than with a warning through the logger: the
+  // logger cannot warn through itself while its own level is still being
+  // initialized.
   const std::optional<std::string> env = env::raw("PIOM_LOG");
   if (!env) return LogLevel::kWarn;
   if (*env == "debug") return LogLevel::kDebug;

@@ -392,7 +392,6 @@ TEST(RdvDrain, RendezvousCollectivesErrorCompleteAfterKill) {
   for (const EngineKind kind : {EngineKind::kPioman, EngineKind::kMvapichLike,
                                 EngineKind::kOpenMpiLike}) {
     WorldConfig cfg = fault_world_config(kind, kN, MeshKind::kSimnet);
-    cfg.session.eager_threshold = 1024;  // 8 KiB payloads go rendezvous
     World world(cfg);
     const int64_t budget = completion_budget_ns(cfg.failure);
     std::atomic<bool> killed{false};
@@ -400,7 +399,10 @@ TEST(RdvDrain, RendezvousCollectivesErrorCompleteAfterKill) {
     for (int r = 0; r < kN; ++r) {
       ranks.emplace_back([&, r] {
         Comm& comm = world.comm(r);
-        constexpr std::size_t kElems = 1024;  // 8 KiB of int64 per round
+        // 32 KiB of int64 per round: above kEagerThreshold, so every
+        // round goes rendezvous.
+        constexpr std::size_t kElems = 4096;
+        static_assert(kElems * sizeof(int64_t) > nmad::kEagerThreshold);
         const int64_t give_up = util::now_ns() + 20 * budget;
         const auto run_over = [&] {
           return r == kVictim ? comm.any_rank_failed()
@@ -409,7 +411,7 @@ TEST(RdvDrain, RendezvousCollectivesErrorCompleteAfterKill) {
         for (int64_t iter = 0; !run_over(); ++iter) {
           ASSERT_LT(util::now_ns(), give_up)
               << "rank " << r << ": no failure verdict after 20 budgets";
-          // The tree allreduce moves the whole 8 KiB vector up to rank 0
+          // The tree allreduce moves the whole 32 KiB vector up to rank 0
           // and back down every iteration, so a kill lands between
           // survivors mid-rendezvous with high probability.
           std::vector<int64_t> red(kElems, iter + r);
@@ -461,7 +463,6 @@ TEST(RdvDrain, RendezvousCollectivesErrorCompleteAfterKill) {
 TEST(RdvDrain, ParkedRendezvousRoundIsNackedWhileSurvivorsStayLive) {
   WorldConfig cfg =
       fault_world_config(EngineKind::kMvapichLike, 3, MeshKind::kSimnet);
-  cfg.session.eager_threshold = 1024;  // 8 KiB payload goes rendezvous
   World world(cfg);
   Comm& a = world.comm(0);
   Comm& b = world.comm(1);
@@ -473,7 +474,8 @@ TEST(RdvDrain, ParkedRendezvousRoundIsNackedWhileSurvivorsStayLive) {
   // (already dead) rank 2 in its first advance. Rank 1 never starts the
   // bcast — the survivor that observed the failure and stopped calling
   // collectives — so rank 0's RTS towards it stages unmatched.
-  std::vector<uint8_t> payload(8192, 0xab);
+  // 32 KiB: above kEagerThreshold, so the payload goes rendezvous.
+  std::vector<uint8_t> payload(32 * 1024, 0xab);
   CollRequest cr;
   a.ibcast(cr, payload.data(), payload.size(), 0);
   const int64_t staged_by = util::now_ns() + budget;

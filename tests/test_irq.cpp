@@ -69,21 +69,35 @@ TEST(UrgentTask, ScheduleServicesUrgentFirst) {
   EXPECT_EQ(order[1], 1);
 }
 
-TEST(UrgentTask, NotifierFires) {
+TEST(UrgentTask, HookFiresUntilDetached) {
   const topo::Machine m = topo::Machine::flat(1);
   TaskManager tm(m);
   std::atomic<int> notified{0};
-  tm.set_urgent_notifier([&] { notified.fetch_add(1); });
+  const UrgentHook hook{
+      [](void* ctx) { static_cast<std::atomic<int>*>(ctx)->fetch_add(1); },
+      &notified};
+  tm.attach_urgent_hook(&hook);
   std::atomic<int64_t> when{0};
   Task t;
   t.init(&mark_time, &when, {}, kTaskUrgent);
   tm.submit(&t);
   EXPECT_EQ(notified.load(), 1);
-  // Normal tasks do not fire the notifier.
+  // Normal tasks do not fire the hook.
   Task n;
   n.init(&mark_time, &when, {}, kTaskNone);
   tm.submit(&n);
   EXPECT_EQ(notified.load(), 1);
+  tm.schedule(0);
+  // Detaching another hook leaves this one attached.
+  const UrgentHook other{};
+  tm.detach_urgent_hook(&other);
+  tm.submit(&t);
+  EXPECT_EQ(notified.load(), 2);
+  tm.schedule(0);
+  // Once detached, it never fires again.
+  tm.detach_urgent_hook(&hook);
+  tm.submit(&t);
+  EXPECT_EQ(notified.load(), 2);
   tm.schedule(0);
 }
 
@@ -188,6 +202,57 @@ TEST(RuntimeInterrupt, StopIsIdempotentAndDrains) {
   rt->stop();
   rt.reset();
   SUCCEED();
+}
+
+TEST(RuntimeInterrupt, UrgentSubmitsRaceRuntimeStartAndStop) {
+  // Each Runtime attaches its urgent hook in its constructor and detaches
+  // it in stop(), while another thread keeps submitting urgent tasks to the
+  // same TaskManager: no submit may call into a stopped (or destroyed)
+  // runtime, and no task may be lost between two runtimes.
+  const topo::Machine m = topo::Machine::flat(1);
+  TaskManager tm(m);
+  std::atomic<int> runs{0};
+  std::atomic<int> submitted{0};
+  std::atomic<bool> submitting{true};
+  std::atomic<bool> submitter_done{false};
+  std::thread submitter([&] {
+    Task t;
+    t.init(
+        [](void* arg) {
+          static_cast<std::atomic<int>*>(arg)->fetch_add(1);
+          return TaskResult::kDone;
+        },
+        &runs, {}, kTaskUrgent);
+    while (submitting.load(std::memory_order_acquire)) {
+      tm.submit(&t);
+      submitted.fetch_add(1);
+      // Between two runtimes nobody runs it; the next runtime (or the
+      // final drain below) does.
+      while (!t.completed()) std::this_thread::yield();
+    }
+    submitter_done.store(true, std::memory_order_release);
+  });
+  constexpr int kRuntimes = 200;
+  for (int i = 0; i < kRuntimes; ++i) {
+    Runtime rt(m, tm);
+    // Let this runtime run at least one task, so submits overlap its whole
+    // lifetime, then stop it (destructor) while the submitter continues.
+    const int before = runs.load();
+    const int64_t deadline = util::now_ns() + 2'000'000'000;
+    while (runs.load() == before && util::now_ns() < deadline) {
+      std::this_thread::yield();
+    }
+    if (runs.load() == before) {
+      ADD_FAILURE() << "runtime " << i << " ran no task";
+      break;
+    }
+  }
+  submitting.store(false, std::memory_order_release);
+  while (!submitter_done.load(std::memory_order_acquire)) tm.run_urgent(0);
+  submitter.join();
+  EXPECT_EQ(runs.load(), submitted.load());
+  EXPECT_GE(submitted.load(), kRuntimes);
+  EXPECT_EQ(tm.urgent_pending_approx(), 0u);
 }
 
 TEST(RuntimeInterrupt, ManyUrgentTasksAllRun) {

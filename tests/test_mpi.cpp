@@ -280,10 +280,9 @@ TEST(MpiPioman, InlineSubmissionAblationWorks) {
 TEST(MpiWorld, MultirailWorldTransfersCorrectly) {
   WorldConfig cfg = fast_config(EngineKind::kPioman);
   cfg.rails = 2;
-  cfg.session.strategy.multirail_stripe = true;
-  cfg.session.strategy.stripe_min_chunk = 16 * 1024;
   World world(cfg);
-  std::vector<uint8_t> data(1 << 20);
+  // 64 min stripe chunks: each rail's half is far above the minimum.
+  std::vector<uint8_t> data(64 * nmad::kStripeMinChunk);
   std::iota(data.begin(), data.end(), 0);
   std::vector<uint8_t> out(data.size(), 0);
   std::thread receiver(

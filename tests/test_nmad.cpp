@@ -199,7 +199,7 @@ TEST(NmadRdv, EagerAndRdvSameTagRespectSeqOrder) {
 
 TEST(NmadAggreg, PendingSmallSendsArePacked) {
   SessionConfig cfg;
-  cfg.strategy.aggregation = true;
+  cfg.aggregation = true;
   NmadPair p(cfg);
   constexpr int kMsgs = 8;
   std::vector<std::string> payloads;
@@ -240,7 +240,7 @@ TEST(NmadAggreg, PendingSmallSendsArePacked) {
 
 TEST(NmadAggreg, NoAggregationSendsOnePacketPerMessage) {
   SessionConfig cfg;
-  cfg.strategy.aggregation = false;  // pinned: holds under $PIOM_AGGREGATION=1
+  cfg.aggregation = false;  // pinned: holds under $PIOM_AGGREGATION=1
   NmadPair p(cfg);
   constexpr int kMsgs = 6;
   std::deque<SendRequest> sreqs(kMsgs);
@@ -265,11 +265,9 @@ TEST(NmadAggreg, NoAggregationSendsOnePacketPerMessage) {
 }
 
 TEST(NmadMultirail, RdvStripesAcrossRails) {
-  SessionConfig cfg;
-  cfg.strategy.multirail_stripe = true;
-  cfg.strategy.stripe_min_chunk = 16 * 1024;
-  NmadPair p(cfg, /*rails=*/2);
-  std::vector<uint8_t> data(1 << 20);
+  NmadPair p({}, /*rails=*/2);
+  // 64 min stripe chunks: each rail's half is far above the minimum.
+  std::vector<uint8_t> data(64 * kStripeMinChunk);
   std::mt19937 rng(99);
   for (auto& b : data) b = static_cast<uint8_t>(rng());
   std::vector<uint8_t> out(data.size(), 0);
@@ -404,13 +402,10 @@ TEST(NmadStress, ConcurrentFlushersKeepPerThreadSendOrder) {
   EXPECT_EQ(overtaken, 0) << "same-tag sends of one thread arrived out of order";
 }
 
-TEST(NmadConfig, RejectsOversizedThresholds) {
+TEST(NmadConfig, RejectsEmptyPools) {
   SessionConfig cfg;
-  cfg.eager_threshold = kPoolBufSize;  // + header would overflow the buffer
+  cfg.pool_bufs_per_rail = 0;
   EXPECT_THROW(Session("bad", cfg), std::invalid_argument);
-  SessionConfig cfg2;
-  cfg2.pool_bufs_per_rail = 0;
-  EXPECT_THROW(Session("bad2", cfg2), std::invalid_argument);
 }
 
 TEST(NmadConfig, GateRequiresConnectedRails) {
@@ -517,7 +512,7 @@ TEST_P(NmadSizeSweep, RoundTripsIntact) {
   EXPECT_EQ(out, data);
   // Protocol selection: at most the threshold goes eager.
   const GateStats gs = p.ga->stats();
-  if (size <= kDefaultEagerThreshold) {
+  if (size <= kEagerThreshold) {
     EXPECT_EQ(gs.eager_sent, 1u);
     EXPECT_EQ(gs.rdv_sent, 0u);
   } else {
@@ -612,25 +607,35 @@ TEST(NmadRevoke, MaskedWindowCoversManyTags) {
 struct TrialPlan {
   struct Msg {
     Tag tag = 0;
-    std::size_t len = 0;  ///< > eager_threshold => rendezvous
+    std::size_t len = 0;  ///< > kEagerThreshold => rendezvous
   };
   std::vector<Msg> msgs;
   std::vector<Tag> recv_tags;  ///< kAnyTag entries are directed wildcards
   std::size_t pre_post = 0;    ///< receives posted before any send
 };
 
-TrialPlan make_trial_plan(uint32_t seed) {
+/// Tags spread over several buckets (5 and 69 still share one).
+constexpr std::array<Tag, 7> kSpreadTags = {1,  2,      3,
+                                            5,  69,     0x42aa,
+                                            kReservedTagBase | 0x45u};
+/// Tags congruent mod kMatcherBuckets: every tag, reserved one included,
+/// lands in bucket 5's chain.
+constexpr std::array<Tag, 7> kCollidingTags = {
+    5, 69, 133, 197, 0x4205, 0x42c5, kReservedTagBase | 0x45u};
+static_assert(0x42c5 % kMatcherBuckets == 5);
+static_assert((kReservedTagBase | 0x45u) % kMatcherBuckets == 5);
+
+TrialPlan make_trial_plan(uint32_t seed, const std::array<Tag, 7>& tags) {
   std::mt19937 rng(seed);
   TrialPlan plan;
   const std::size_t n = 24 + rng() % 16;
-  const std::array<Tag, 7> tags = {1, 2, 3, 5, 69, 0x42aa,
-                                   kReservedTagBase | 0x45u};
   for (std::size_t i = 0; i < n; ++i) {
     TrialPlan::Msg m;
     m.tag = tags[rng() % tags.size()];
-    // Mostly small eager messages; ~20% rendezvous (above the trial's
-    // 256-byte threshold) so RTS and eager compete inside one tag.
-    m.len = (rng() % 5 == 0) ? 300 + rng() % 200 : 8 + rng() % 56;
+    // Mostly small eager messages; ~20% rendezvous (above kEagerThreshold)
+    // so RTS and eager compete inside one tag.
+    m.len = (rng() % 5 == 0) ? kEagerThreshold + 44 + rng() % 200
+                             : 8 + rng() % 56;
     plan.msgs.push_back(m);
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -655,12 +660,9 @@ struct RecvOutcome {
   bool operator==(const RecvOutcome&) const = default;
 };
 
-std::vector<RecvOutcome> run_trial(const TrialPlan& plan, MatcherKind kind,
-                                   int buckets) {
+std::vector<RecvOutcome> run_trial(const TrialPlan& plan, MatcherKind kind) {
   SessionConfig cfg;
   cfg.matcher = kind;
-  cfg.matcher_buckets = buckets;
-  cfg.eager_threshold = 256;
   NmadPair p(cfg);
   const std::size_t n = plan.msgs.size();
   std::deque<SendRequest> sreqs(n);
@@ -674,9 +676,9 @@ std::vector<RecvOutcome> run_trial(const TrialPlan& plan, MatcherKind kind,
     for (std::size_t j = 0; j < sbufs[i].size(); ++j) {
       sbufs[i][j] = static_cast<uint8_t>(i * 7 + j);
     }
-    (plan.msgs[i].len > cfg.eager_threshold ? n_rdv : n_eager)++;
+    (plan.msgs[i].len > kEagerThreshold ? n_rdv : n_eager)++;
   }
-  for (auto& b : rbufs) b.resize(600);
+  for (auto& b : rbufs) b.resize(kEagerThreshold + 300);
 
   // Phase 1: pre-post a prefix of the receives (expected-path matching).
   for (std::size_t i = 0; i < plan.pre_post; ++i) {
@@ -731,17 +733,18 @@ std::vector<RecvOutcome> run_trial(const TrialPlan& plan, MatcherKind kind,
 
 TEST(NmadMatcherEquiv, BucketMatchesScanOnRandomInterleavings) {
   for (uint32_t seed = 1; seed <= 8; ++seed) {
-    const TrialPlan plan = make_trial_plan(seed);
-    const auto reference = run_trial(plan, MatcherKind::kScan, 64);
-    // Bucket counts 1 (every tag collides) and 64 (the default) must both
+    // Spread tags and tags that all share one bucket chain must both
     // reproduce the scan matcher bit-for-bit.
-    for (const int buckets : {1, 64}) {
-      const auto got = run_trial(plan, MatcherKind::kBucket, buckets);
+    for (const bool colliding : {true, false}) {
+      const TrialPlan plan =
+          make_trial_plan(seed, colliding ? kCollidingTags : kSpreadTags);
+      const auto reference = run_trial(plan, MatcherKind::kScan);
+      const auto got = run_trial(plan, MatcherKind::kBucket);
       ASSERT_EQ(got.size(), reference.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i], reference[i])
-            << "seed=" << seed << " buckets=" << buckets << " recv#" << i
-            << " tag=" << plan.recv_tags[i];
+            << "seed=" << seed << " colliding=" << colliding << " recv#"
+            << i << " tag=" << plan.recv_tags[i];
       }
     }
   }
@@ -750,11 +753,11 @@ TEST(NmadMatcherEquiv, BucketMatchesScanOnRandomInterleavings) {
 // ------------------------------------------------- directed matcher cases
 
 TEST(NmadMatcher, BucketCollisionKeepsTagsIndependent) {
-  // One bucket: every tag shares a chain; exact matching must still filter
-  // by tag, not take the chain head.
+  // Tags 5 and 69 share a chain (congruent mod kMatcherBuckets); exact
+  // matching must still filter by tag, not take the chain head.
+  static_assert(69 % kMatcherBuckets == 5);
   SessionConfig cfg;
   cfg.matcher = MatcherKind::kBucket;
-  cfg.matcher_buckets = 1;
   NmadPair p(cfg);
   SendRequest s5, s69;
   const char m5[] = "tag-five";
@@ -777,13 +780,13 @@ TEST(NmadMatcher, BucketCollisionKeepsTagsIndependent) {
 
 TEST(NmadMatcher, WildcardSkipsReservedEvenInSharedBucket) {
   // A posted kAnyTag receive must not claim reserved-space traffic even
-  // when the reserved tag hashes into the same (only) bucket, and the
-  // epoch-style tag stays matchable by an exact receive afterwards.
+  // when the reserved tag hashes into the application tag's bucket, and
+  // the epoch-style tag stays matchable by an exact receive afterwards.
   SessionConfig cfg;
   cfg.matcher = MatcherKind::kBucket;
-  cfg.matcher_buckets = 1;
   NmadPair p(cfg);
-  const Tag epoch_tag = kReservedTagBase | 0x1040u;
+  const Tag epoch_tag = kReservedTagBase | 0x1047u;
+  static_assert((kReservedTagBase | 0x1047u) % kMatcherBuckets == 7);
   char wbuf[64] = {};
   RecvRequest wild;
   p.gb->irecv(wild, kAnyTag, wbuf, sizeof(wbuf));
@@ -811,7 +814,6 @@ TEST(NmadMatcher, EpochTagsDifferingAboveBucketBitsStayDistinct) {
   // must match their own receives — the chain filter compares full tags.
   SessionConfig cfg;
   cfg.matcher = MatcherKind::kBucket;
-  cfg.matcher_buckets = 64;
   NmadPair p(cfg);
   const Tag epoch1 = kReservedTagBase | 0x1040u;
   const Tag epoch2 = kReservedTagBase | 0x2040u;  // same tag & 63
@@ -837,10 +839,11 @@ TEST(NmadMatcher, EpochTagsDifferingAboveBucketBitsStayDistinct) {
 
 TEST(NmadMatcher, RevokedWindowInsideSharedBucket) {
   // Revoking a tag window must NACK exactly the in-window staged RTS even
-  // when an out-of-window RTS shares the bucket chain.
+  // when an out-of-window RTS shares the bucket chain (0x42aa and 0x43aa
+  // are congruent mod kMatcherBuckets).
+  static_assert(0x42aa % kMatcherBuckets == 0x43aa % kMatcherBuckets);
   SessionConfig cfg;
   cfg.matcher = MatcherKind::kBucket;
-  cfg.matcher_buckets = 1;
   NmadPair p(cfg);
   std::vector<uint8_t> big(64 * 1024, 0x5a);
   SendRequest in_window, outside;
@@ -905,7 +908,7 @@ TEST(NmadPool, RecvBuffersGrowLazilyUnderBurst) {
   cfg.pool_bufs_per_rail = 8;
   // One wire packet per message, pinned: under $PIOM_AGGREGATION the burst
   // would pack into a single packet and never outrun the posted buffers.
-  cfg.strategy.aggregation = false;
+  cfg.aggregation = false;
   NmadPair p(cfg);
   EXPECT_EQ(p.gb->stats().recv_bufs_posted_hw, 2u);
   constexpr int kMsgs = 12;

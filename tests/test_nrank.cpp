@@ -387,10 +387,9 @@ TEST(NRank, MixedWildcardAndDirectedReceives) {
 TEST(NRank, MultirailMeshTransfersCorrectly) {
   WorldConfig cfg = nrank_config(EngineKind::kPioman, 3);
   cfg.rails = 2;
-  cfg.session.strategy.multirail_stripe = true;
-  cfg.session.strategy.stripe_min_chunk = 16 * 1024;
   World world(cfg);
-  std::vector<uint8_t> data(1 << 19);
+  // 32 min stripe chunks: each rail's half is far above the minimum.
+  std::vector<uint8_t> data(32 * nmad::kStripeMinChunk);
   std::iota(data.begin(), data.end(), 0);
   std::vector<uint8_t> out(data.size(), 0);
   std::thread receiver(

@@ -11,8 +11,7 @@ namespace piom::nmad {
 namespace {
 
 TEST(Strategy, SingleRailNeverStripes) {
-  Strategy s({});
-  const auto chunks = s.stripe(10 << 20, {1.25});
+  const auto chunks = Strategy::stripe(10 << 20, {1.25});
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0].rail, 0);
   EXPECT_EQ(chunks[0].offset, 0u);
@@ -20,44 +19,33 @@ TEST(Strategy, SingleRailNeverStripes) {
 }
 
 TEST(Strategy, SmallMessagesStayOnOneRail) {
-  StrategyConfig cfg;
-  cfg.stripe_min_chunk = 64 * 1024;
-  Strategy s(cfg);
   // Below 2x the min chunk: splitting would only add per-packet overhead.
-  const auto chunks = s.stripe(100 * 1024, {1.25, 1.25});
+  static_assert(100 * 1024 < 2 * kStripeMinChunk);
+  const auto chunks = Strategy::stripe(100 * 1024, {1.25, 1.25});
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0].len, std::size_t{100 * 1024});
 }
 
 TEST(Strategy, EqualRailsSplitEvenly) {
-  StrategyConfig cfg;
-  cfg.stripe_min_chunk = 64 * 1024;
-  Strategy s(cfg);
-  const auto chunks = s.stripe(1 << 20, {1.25, 1.25});
+  const auto chunks = Strategy::stripe(1 << 20, {1.25, 1.25});
   ASSERT_EQ(chunks.size(), 2u);
   EXPECT_NEAR(static_cast<double>(chunks[0].len),
               static_cast<double>(chunks[1].len), 1.0);
 }
 
 TEST(Strategy, BandwidthProportionalSplit) {
-  StrategyConfig cfg;
-  cfg.stripe_min_chunk = 4 * 1024;
-  Strategy s(cfg);
-  // 1 : 3 bandwidth ratio -> 25% / 75% split.
-  const auto chunks = s.stripe(1 << 20, {1.0, 3.0});
+  // 1 : 3 bandwidth ratio -> 25% / 75% split; the 25% share (64 min
+  // chunks) is far above the minimum, so rounding stays within 2%.
+  constexpr std::size_t kLen = 256 * kStripeMinChunk;
+  const auto chunks = Strategy::stripe(kLen, {1.0, 3.0});
   ASSERT_EQ(chunks.size(), 2u);
-  EXPECT_NEAR(static_cast<double>(chunks[0].len), (1 << 20) * 0.25,
-              (1 << 20) * 0.02);
-  EXPECT_NEAR(static_cast<double>(chunks[1].len), (1 << 20) * 0.75,
-              (1 << 20) * 0.02);
+  EXPECT_NEAR(static_cast<double>(chunks[0].len), kLen * 0.25, kLen * 0.02);
+  EXPECT_NEAR(static_cast<double>(chunks[1].len), kLen * 0.75, kLen * 0.02);
 }
 
 TEST(Strategy, ZeroAndOneByteLengthsNeverSplit) {
-  StrategyConfig cfg;
-  cfg.stripe_min_chunk = 4 * 1024;
-  Strategy s(cfg);
   for (const std::size_t len : {std::size_t{0}, std::size_t{1}}) {
-    const auto chunks = s.stripe(len, {10.0, 1.25});
+    const auto chunks = Strategy::stripe(len, {10.0, 1.25});
     ASSERT_EQ(chunks.size(), 1u);
     EXPECT_EQ(chunks[0].rail, 0);
     EXPECT_EQ(chunks[0].offset, 0u);
@@ -66,38 +54,17 @@ TEST(Strategy, ZeroAndOneByteLengthsNeverSplit) {
 }
 
 TEST(Strategy, LatencyAwareEagerPicksTheFastRail) {
-  Strategy s({});
   // Heterogeneous rails: the strictly fastest one takes all eager traffic,
   // regardless of its position.
-  EXPECT_EQ(s.select_eager_rail({0.15, 1.8}), 0);
-  EXPECT_EQ(s.select_eager_rail({1.8, 0.15}), 1);
-  EXPECT_EQ(s.select_eager_rail({1.8, 1.8, 0.15}), 2);
-  // Homogeneous rails fall back to rail 0 (no round robin configured).
-  EXPECT_EQ(s.select_eager_rail({1.8, 1.8}), 0);
+  EXPECT_EQ(Strategy::select_eager_rail({0.15, 1.8}), 0);
+  EXPECT_EQ(Strategy::select_eager_rail({1.8, 0.15}), 1);
+  EXPECT_EQ(Strategy::select_eager_rail({1.8, 1.8, 0.15}), 2);
+  // Homogeneous rails fall back to rail 0.
+  EXPECT_EQ(Strategy::select_eager_rail({1.8, 1.8}), 0);
   // A tie at the minimum is homogeneous too.
-  EXPECT_EQ(s.select_eager_rail({0.15, 0.15, 1.8}), 0);
+  EXPECT_EQ(Strategy::select_eager_rail({0.15, 0.15, 1.8}), 0);
   // Single rail short-circuits.
-  EXPECT_EQ(s.select_eager_rail(std::vector<double>{0.15}), 0);
-}
-
-TEST(Strategy, LatencyAwareEagerDisabledFallsBackToRoundRobin) {
-  StrategyConfig cfg;
-  cfg.latency_aware_eager = false;
-  cfg.eager_round_robin = true;
-  Strategy s(cfg);
-  // Even with a strictly faster rail, disabled = legacy round robin.
-  std::vector<int> seen;
-  for (int i = 0; i < 4; ++i) seen.push_back(s.select_eager_rail({0.15, 1.8}));
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 0, 1}));
-}
-
-TEST(Strategy, StripingDisabledUsesRailZero) {
-  StrategyConfig cfg;
-  cfg.multirail_stripe = false;
-  Strategy s(cfg);
-  const auto chunks = s.stripe(10 << 20, {1.25, 1.25, 1.25});
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].rail, 0);
+  EXPECT_EQ(Strategy::select_eager_rail(std::vector<double>{0.15}), 0);
 }
 
 // Property: for random sizes and rail sets, the chunks always partition
@@ -105,17 +72,16 @@ TEST(Strategy, StripingDisabledUsesRailZero) {
 // respects the minimum chunk size.
 TEST(StrategyProperty, StripeAlwaysCoversExactly) {
   std::mt19937 rng(2024);
-  StrategyConfig cfg;
-  cfg.stripe_min_chunk = 16 * 1024;
-  Strategy s(cfg);
   for (int iter = 0; iter < 500; ++iter) {
-    const std::size_t len = rng() % (8u << 20);
+    // Up to 512 min chunks: short lengths stay whole, long ones split
+    // across up to 4 rails.
+    const std::size_t len = rng() % (512 * kStripeMinChunk);
     const int nrails = 1 + static_cast<int>(rng() % 4);
     std::vector<double> bw;
     for (int r = 0; r < nrails; ++r) {
       bw.push_back(0.5 + static_cast<double>(rng() % 100) / 10.0);
     }
-    const auto chunks = s.stripe(len, bw);
+    const auto chunks = Strategy::stripe(len, bw);
     ASSERT_FALSE(chunks.empty());
     std::size_t expected_offset = 0;
     int last_rail = -1;
@@ -129,57 +95,39 @@ TEST(StrategyProperty, StripeAlwaysCoversExactly) {
     EXPECT_EQ(expected_offset, len) << "chunks must cover the whole message";
     if (chunks.size() > 1) {
       for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
-        EXPECT_GE(chunks[i].len, cfg.stripe_min_chunk);
+        EXPECT_GE(chunks[i].len, kStripeMinChunk);
       }
     }
   }
 }
 
 TEST(Strategy, ShouldPackRespectsLimits) {
-  StrategyConfig cfg;
-  cfg.aggregation = true;
-  cfg.max_pack_msgs = 4;
-  cfg.max_pack_bytes = 1024;
-  Strategy s(cfg);
-  EXPECT_FALSE(s.should_pack(1, 100));   // a single message is not a pack
+  Strategy s(true);
+  EXPECT_FALSE(s.should_pack(1, 100));  // a single message is not a pack
   EXPECT_TRUE(s.should_pack(2, 100));
-  EXPECT_TRUE(s.should_pack(4, 1024));
-  EXPECT_FALSE(s.should_pack(5, 100));   // too many messages
-  EXPECT_FALSE(s.should_pack(2, 2048));  // too many bytes
+  EXPECT_TRUE(s.should_pack(kMaxPackMsgs, kMaxPackBytes));
+  EXPECT_FALSE(s.should_pack(kMaxPackMsgs + 1, 100));  // too many messages
+  EXPECT_FALSE(s.should_pack(2, kMaxPackBytes + 1));   // too many bytes
 }
 
 TEST(Strategy, ShouldPackOffWithoutAggregation) {
   // Pinned explicitly off (not default): the default defers to
   // $PIOM_AGGREGATION, and this test must hold in the forced-aggregation
   // CI pass too.
-  StrategyConfig cfg;
-  cfg.aggregation = false;
-  Strategy s(cfg);
+  Strategy s(false);
   EXPECT_FALSE(s.should_pack(8, 100));
 }
 
 TEST(Strategy, AggregationUnsetFollowsEnvironment) {
-  StrategyConfig cfg;
-  ASSERT_FALSE(cfg.aggregation.has_value());
-  Strategy s(cfg);
+  Strategy s(std::nullopt);
   EXPECT_EQ(s.aggregation(),
             piom::util::env::boolean("PIOM_AGGREGATION", false));
 }
 
-TEST(Strategy, EagerRailRoundRobin) {
-  StrategyConfig cfg;
-  cfg.eager_round_robin = true;
-  Strategy s(cfg);
-  std::vector<int> seen;
-  for (int i = 0; i < 6; ++i) seen.push_back(s.select_eager_rail(3));
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 0, 1, 2}));
-  // Single rail: always 0 even with round-robin on.
-  EXPECT_EQ(s.select_eager_rail(1), 0);
-}
-
 TEST(Strategy, EagerRailDefaultIsZero) {
-  Strategy s({});
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(s.select_eager_rail(4), 0);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(Strategy::select_eager_rail({1.8, 1.8, 1.8, 1.8}), 0);
+  }
 }
 
 }  // namespace

@@ -284,18 +284,17 @@ TEST(ShmemChannel, SendCompletesWithoutReceiverHostPolling) {
 }
 
 TEST(ShmemChannel, RingFullBackpressuresWithoutDeadlock) {
-  ShmemConfig config;
-  config.ring_slots = 4;
-  ShmemTransport transport(config);
+  ShmemTransport transport;
   auto [a, b] = transport.create_channel_pair("full");
-  constexpr int kMsgs = 64;
+  // 16x the ring's slots, so most posts must spill.
+  constexpr int kMsgs = 16 * static_cast<int>(kShmemRingSlots);
   std::vector<uint32_t> payloads(kMsgs);
   std::iota(payloads.begin(), payloads.end(), 100u);
   for (int i = 0; i < kMsgs; ++i) {
     a->post_send(&payloads[static_cast<std::size_t>(i)], sizeof(uint32_t),
                  static_cast<uint64_t>(i));
   }
-  // 4-slot ring, 64 posts, receiver idle: the excess must be spilled, not
+  // Receiver idle: the posts beyond the ring's slots must be spilled, not
   // dropped, and the sender must not block.
   EXPECT_GT(a->tx_backlog(), 0u);
 
@@ -337,11 +336,10 @@ TEST(ShmemChannel, RdmaReadIsDirectAndCounted) {
 TEST(ShmemChannel, ReportsFastRailProperties) {
   ShmemConfig config;
   config.bandwidth_GBps = 12.5;
-  config.latency_us = 0.2;
   ShmemTransport transport(config);
   auto [a, b] = transport.create_channel_pair("props");
   EXPECT_DOUBLE_EQ(a->bandwidth_GBps(), 12.5);
-  EXPECT_DOUBLE_EQ(b->latency_us(), 0.2);
+  EXPECT_DOUBLE_EQ(b->latency_us(), kShmemLatencyUs);
   // Default config: bandwidth is measured host memcpy throughput, floored
   // above the default NIC link model (the fast-rail invariant holds even
   // under sanitizer-instrumented memcpy).
@@ -542,7 +540,7 @@ void pump(nmad::Gate& ga, nmad::Gate& gb, DoneFn done) {
 
 TEST(HybridGate, EagerRidesShmemBulkStripesAcrossBothRails) {
   // Pin the shmem bandwidth so the stripe split (and thus the NIC rail's
-  // share clearing stripe_min_chunk) is deterministic across hosts.
+  // share clearing kStripeMinChunk) is deterministic across hosts.
   ClusterConfig cc;
   cc.time_scale = 0.05;
   cc.shmem.bandwidth_GBps = 10.0;
@@ -550,9 +548,7 @@ TEST(HybridGate, EagerRidesShmemBulkStripesAcrossBothRails) {
   auto [sa, sb] = cluster.shmem().create_channel_pair("fast");
   auto [na, nb] = cluster.create_sim_link("slow", {});
 
-  nmad::SessionConfig config;
-  config.strategy.stripe_min_chunk = 16 * 1024;
-  nmad::Session session_a("a", config), session_b("b", config);
+  nmad::Session session_a("a"), session_b("b");
   nmad::Gate& ga = session_a.create_gate({sa, na});
   nmad::Gate& gb = session_b.create_gate({sb, nb});
 
@@ -570,7 +566,8 @@ TEST(HybridGate, EagerRidesShmemBulkStripesAcrossBothRails) {
 
   // Large message: rendezvous pull striped across BOTH rails by bandwidth
   // (shmem takes the lion's share, the NIC rail a >= min_chunk slice).
-  std::vector<uint8_t> big(1u << 20);
+  // 64 min stripe chunks: the NIC rail's 1.25/11.25 share is ~7 chunks.
+  std::vector<uint8_t> big(64 * nmad::kStripeMinChunk);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<uint8_t>(i * 13);
   }
@@ -675,8 +672,8 @@ TEST(TcpChannel, ReportsModeledRailProperties) {
   auto [t, t_peer] = TcpTransport::create_loopback_pair(
       cluster.tcp_node(0), cluster.tcp_node(1), "tcp", Endpoint::Scheme::kTcp);
   EXPECT_LT(u->latency_us(), t->latency_us());
-  EXPECT_GT(u->latency_us(), ShmemConfig{}.latency_us);
-  EXPECT_GT(t->latency_us(), ShmemConfig{}.latency_us);
+  EXPECT_GT(u->latency_us(), kShmemLatencyUs);
+  EXPECT_GT(t->latency_us(), kShmemLatencyUs);
   EXPECT_DOUBLE_EQ(u_peer->latency_us(), u->latency_us());
   EXPECT_DOUBLE_EQ(t_peer->latency_us(), t->latency_us());
   EXPECT_GT(u->bandwidth_GBps(), 0.0);

@@ -142,7 +142,6 @@ TEST(QueueKindName, NamesAreStableBenchLabels) {
 TEST(Env, TypedParsing) {
   setenv("PIOM_TEST_INT", "42", 1);
   setenv("PIOM_TEST_HEX", "0x5eed", 1);
-  setenv("PIOM_TEST_DBL", "2.5", 1);
   setenv("PIOM_TEST_STR", "hello", 1);
   setenv("PIOM_TEST_BOOL", "yes", 1);
   setenv("PIOM_TEST_JUNK", "xyz", 1);
@@ -150,18 +149,13 @@ TEST(Env, TypedParsing) {
   EXPECT_EQ(env::integer("PIOM_TEST_HEX", 0), 0x5eed);
   EXPECT_EQ(env::integer("PIOM_TEST_MISSING", 7), 7);
   EXPECT_EQ(env::integer("PIOM_TEST_JUNK", 7), 7);  // junk -> fallback + warn
-  EXPECT_DOUBLE_EQ(env::number("PIOM_TEST_DBL", 0), 2.5);
   EXPECT_EQ(env::str("PIOM_TEST_STR", "d"), "hello");
   EXPECT_EQ(env::str("PIOM_TEST_MISSING", "d"), "d");
   EXPECT_FALSE(env::raw("PIOM_TEST_MISSING").has_value());
   EXPECT_TRUE(env::boolean("PIOM_TEST_BOOL", false));
   EXPECT_TRUE(env::boolean("PIOM_TEST_JUNK", true));  // junk -> fallback
-  EXPECT_EQ(env::choice("PIOM_TEST_STR", {"hello", "bye"}, "bye"), "hello");
-  EXPECT_EQ(env::choice("PIOM_TEST_JUNK", {"hello", "bye"}, "bye"), "bye");
-  EXPECT_EQ(env::choice("PIOM_TEST_MISSING", {"hello", "bye"}, "bye"), "bye");
   unsetenv("PIOM_TEST_INT");
   unsetenv("PIOM_TEST_HEX");
-  unsetenv("PIOM_TEST_DBL");
   unsetenv("PIOM_TEST_STR");
   unsetenv("PIOM_TEST_BOOL");
   unsetenv("PIOM_TEST_JUNK");

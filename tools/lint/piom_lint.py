@@ -38,9 +38,15 @@ Rules
                        there is one listen, connect, accept and hello
                        (qualified names such as TcpTransport::listen are
                        not calls to the syscall).
+  env-knob             Every util::env::* / getenv read in src/ (outside
+                       src/util/env.cpp, the front door itself) must name,
+                       as a string literal, a variable listed in the
+                       "Environment knobs" table of docs/architecture.md:
+                       a knob nobody documents is one nobody sets.
 
 Usage: piom_lint.py [--root DIR]
-Scans DIR/src (C++ rules) and DIR/.github (CI rule). Prints one
+Scans DIR/src (C++ rules, env-knob against DIR/docs/architecture.md) and
+DIR/.github (CI rule). Prints one
 `path:line: [rule-id] message` per finding; exit 1 when anything fired.
 """
 
@@ -305,6 +311,53 @@ def scan_cpp(rel, text, spinlocks, callbacks, cb_containers, findings):
 
 
 # ---------------------------------------------------------------------------
+# env-knob rule: runs on the full text, since the stripper blanks the very
+# string literal that names the variable (offsets are preserved, so a match
+# in the stripped text indexes the raw text too).
+# ---------------------------------------------------------------------------
+
+ENV_READ = re.compile(r"\benv::\w+\s*\(|\bgetenv\s*\(")
+ENV_LITERAL = re.compile(r'\s*"(\w*)"')
+ENV_DOC = os.path.join("docs", "architecture.md")
+ENV_HEADING = "Environment knobs"
+ENV_FRONT_DOOR = "src/util/env.cpp"
+ENV_DOC_NAME = re.compile(r"`(PIOM_\w+)`")
+
+
+def documented_env_vars(root):
+    """Names in the first column of the env table under ENV_HEADING."""
+    names = set()
+    path = os.path.join(root, ENV_DOC)
+    if not os.path.isfile(path):
+        return names
+    in_section = False
+    with open(path, encoding="utf-8", errors="replace") as f:
+        for line in f:
+            if line.startswith("#"):
+                in_section = ENV_HEADING in line
+            elif in_section and line.startswith("|"):
+                names.update(ENV_DOC_NAME.findall(line.split("|")[1]))
+    return names
+
+
+def scan_env(rel, raw, stripped, documented, findings):
+    if rel.replace(os.sep, "/") == ENV_FRONT_DOOR:
+        return
+    for m in ENV_READ.finditer(stripped):
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        lit = ENV_LITERAL.match(raw, m.end())
+        if lit is None:
+            findings.append((rel, lineno, "env-knob",
+                             "environment read without a literal variable "
+                             "name (name it so %s can list it)" % ENV_DOC))
+        elif lit.group(1) not in documented:
+            findings.append((rel, lineno, "env-knob",
+                             "$%s is not in the %s table of %s (document "
+                             "it, or make it a constant)" %
+                             (lit.group(1), ENV_HEADING, ENV_DOC)))
+
+
+# ---------------------------------------------------------------------------
 # CI rule
 # ---------------------------------------------------------------------------
 
@@ -346,9 +399,12 @@ def run(root):
     cpp_files, ci_files = find_files(root)
     spinlocks, callbacks, cb_containers, stripped = \
         collect_global_names(cpp_files)
+    documented = documented_env_vars(root)
     findings = []
     for path in cpp_files:
         rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8", errors="replace") as f:
+            scan_env(rel, f.read(), stripped[path], documented, findings)
         text = stripped[path]
         if rel.replace(os.sep, "/") == "src/nmad/types.hpp":
             # The one file allowed to spell reserved-tag literals: run the

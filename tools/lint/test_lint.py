@@ -23,6 +23,10 @@ EXPECTED = {
     (os.path.join(".github", "workflows", "ci.yml"), 4,
      "ctest-parallel-flag"),
     (os.path.join("src", "aio", "engine.cpp"), 4, "thread-owner"),
+    (os.path.join("src", "env_knob.cpp"), 5, "env-knob"),
+    (os.path.join("src", "env_knob.cpp"), 7, "env-knob"),
+    (os.path.join("src", "env_knob.cpp"), 8, "env-knob"),
+    (os.path.join("src", "env_knob.cpp"), 9, "env-knob"),
     (os.path.join("src", "callback_under_lock.cpp"), 10,
      "callback-under-lock"),
     (os.path.join("src", "callback_under_lock.cpp"), 15,
@@ -62,7 +66,7 @@ def main():
     all_rules = {"use-after-complete", "callback-under-lock",
                  "reserved-tag-literal", "relaxed-done-store",
                  "ctest-parallel-flag", "thread-owner",
-                 "socket-syscall"}
+                 "socket-syscall", "env-knob"}
     if rules_fired != all_rules:
         fail("rules without fixture coverage: %s" %
              sorted(all_rules - rules_fired))
